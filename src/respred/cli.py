@@ -14,13 +14,11 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, pipeline, service, simsynth
-from .discretize import TARGET_CLASS_COUNTS, classes_to_resource_classes
+from .discretize import TARGET_NAMES, classes_to_resource_classes
 from .nnet import TrainConfig, predict
 from .targets import ResourceConfig, aggregate_scouts
 
-TARGETS = tuple(TARGET_CLASS_COUNTS)
-TARGETS_CSV_HEADER = ["TASK_ID", "RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME",
-                      "N_SCOUTS", "CPU_FILTER_FALLBACK"]
+TARGETS_CSV_HEADER = ["TASK_ID", *TARGET_NAMES, "N_SCOUTS", "CPU_FILTER_FALLBACK"]
 
 
 def _write_targets_csv(path: Path, rows: list[list]) -> None:
@@ -39,7 +37,7 @@ def _read_targets_csv(path: Path) -> dict[str, dict[str, float]]:
         if missing:
             raise ingest.SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
-            out[row["TASK_ID"]] = {t: float(row[t]) for t in TARGETS}
+            out[row["TASK_ID"]] = {t: float(row[t]) for t in TARGET_NAMES}
     return out
 
 
@@ -49,7 +47,7 @@ def _aligned_targets(dataset: ingest.Dataset, by_task: dict[str, dict[str, float
         raise ValueError(f"{len(missing)} task(s) lack target rows, first: {missing[0]}")
     return {
         t: np.asarray([by_task[r.task_id][t] for r in dataset.records])
-        for t in TARGETS
+        for t in TARGET_NAMES
     }
 
 
@@ -67,7 +65,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     ingest.write_task_csv(synth.dataset, out / "tasks.csv")
     ingest.write_job_csv(synth.jobs, out / "jobs.csv")
     rows = [
-        [rec.task_id] + [repr(float(synth.targets[t][i])) for t in TARGETS] + [0, 0]
+        [rec.task_id] + [repr(float(synth.targets[t][i])) for t in TARGET_NAMES] + [0, 0]
         for i, rec in enumerate(synth.dataset.records)
     ]
     _write_targets_csv(out / "targets.csv", rows)
@@ -131,7 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     artifact = service.load_artifact(args.artifact)
-    bins = {t: artifact.models[t].bins for t in TARGETS}
+    bins = {t: artifact.models[t].bins for t in TARGET_NAMES}
     labeled, _ = _load_labeled(args.data, args.targets, bins)
     report = pipeline.evaluate_models(artifact.models, labeled)
 
@@ -163,16 +161,16 @@ def cmd_predict(args: argparse.Namespace) -> int:
     classes, _ = predict(artifact.models, dataset.records)
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["TASK_ID"] + [f"{t}_CLASS" for t in TARGETS])
+        writer.writerow(["TASK_ID"] + [ingest.CLASS_COLUMNS[t] for t in TARGET_NAMES])
         for rec, cls in zip(dataset.records, classes):
             d = cls.as_dict()
-            writer.writerow([rec.task_id] + [d[t] for t in TARGETS])
+            writer.writerow([rec.task_id] + [d[t] for t in TARGET_NAMES])
     print(f"wrote predictions for {len(dataset)} tasks -> {args.out}")
     return 0
 
 
 def _broker_inputs(args: argparse.Namespace, artifact) -> simsynth.BrokerInputs:
-    bins = {t: artifact.models[t].bins for t in TARGETS}
+    bins = {t: artifact.models[t].bins for t in TARGET_NAMES}
     labeled, values = _load_labeled(args.data, args.targets, bins)
     jobs_by_task = None
     if args.jobs:
@@ -180,7 +178,7 @@ def _broker_inputs(args: argparse.Namespace, artifact) -> simsynth.BrokerInputs:
         jobs_by_task = {}
         for job in jobs:
             jobs_by_task.setdefault(job.task_id, []).append(job)
-    true_classes = classes_to_resource_classes({t: labeled.labels[t] for t in TARGETS})
+    true_classes = classes_to_resource_classes({t: labeled.labels[t] for t in TARGET_NAMES})
     return simsynth.BrokerInputs(
         records=labeled.records,
         true_classes=true_classes,

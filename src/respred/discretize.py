@@ -14,13 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-TARGET_CLASS_COUNTS = {
-    "RAMCOUNT": 4,
-    "CPUTIME": 5,
-    "IOINTENSITY": 2,
-    "WALLTIME": 5,
+# The four targets: name -> (class count, ResourceClasses field). Every other
+# list of targets in the package is derived from this one.
+TARGET_REGISTRY = {
+    "RAMCOUNT": (4, "ram_class"),
+    "CPUTIME": (5, "cpu_class"),
+    "IOINTENSITY": (2, "io_class"),
+    "WALLTIME": (5, "wall_class"),
 }
-TARGET_NAMES = tuple(TARGET_CLASS_COUNTS)
+TARGET_NAMES = tuple(TARGET_REGISTRY)
+TARGET_CLASS_COUNTS = {name: k for name, (k, _) in TARGET_REGISTRY.items()}
 
 
 class BinningError(ValueError):
@@ -64,36 +67,24 @@ class BinSpec:
 
 @dataclass(frozen=True)
 class ResourceClasses:
-    """Discrete class labels for the four targets of one task."""
+    """Discrete class labels for the four targets of one task; fields as in TARGET_REGISTRY."""
 
-    ram_class: int     # 0..3
-    cpu_class: int     # 0..4
-    io_class: int      # 0..1
-    wall_class: int    # 0..4
+    ram_class: int
+    cpu_class: int
+    io_class: int
+    wall_class: int
 
     def __post_init__(self) -> None:
-        for name, value in (("ram_class", self.ram_class), ("cpu_class", self.cpu_class),
-                            ("io_class", self.io_class), ("wall_class", self.wall_class)):
-            limit = {"ram_class": 4, "cpu_class": 5, "io_class": 2, "wall_class": 5}[name]
-            if not 0 <= value < limit:
+        for limit, name in TARGET_REGISTRY.values():
+            if not 0 <= getattr(self, name) < limit:
                 raise ValueError(f"{name} must lie in [0, {limit})")
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "RAMCOUNT": self.ram_class,
-            "CPUTIME": self.cpu_class,
-            "IOINTENSITY": self.io_class,
-            "WALLTIME": self.wall_class,
-        }
+        return {target: getattr(self, name) for target, (_, name) in TARGET_REGISTRY.items()}
 
     @classmethod
     def from_dict(cls, classes: dict[str, int]) -> "ResourceClasses":
-        return cls(
-            ram_class=int(classes["RAMCOUNT"]),
-            cpu_class=int(classes["CPUTIME"]),
-            io_class=int(classes["IOINTENSITY"]),
-            wall_class=int(classes["WALLTIME"]),
-        )
+        return cls(**{name: int(classes[target]) for target, (_, name) in TARGET_REGISTRY.items()})
 
 
 def fit_bins(
@@ -191,12 +182,6 @@ def classes_to_resource_classes(per_target: dict[str, np.ndarray]) -> list[Resou
     lengths = {len(v) for v in per_target.values()}
     if len(lengths) != 1:
         raise ValueError("per-target class arrays must share length")
-    return [
-        ResourceClasses(
-            ram_class=int(per_target["RAMCOUNT"][i]),
-            cpu_class=int(per_target["CPUTIME"][i]),
-            io_class=int(per_target["IOINTENSITY"][i]),
-            wall_class=int(per_target["WALLTIME"][i]),
-        )
-        for i in range(lengths.pop())
-    ]
+    names = [name for _, name in TARGET_REGISTRY.values()]
+    columns = [np.asarray(per_target[target]).tolist() for target in TARGET_REGISTRY]
+    return [ResourceClasses(**dict(zip(names, row))) for row in zip(*columns)]

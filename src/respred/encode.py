@@ -154,9 +154,3 @@ def encode(
         row_count=n,
     )
 
-
-def encode_split(dataset: Dataset, spec: EncoderSpec, target: str) -> EncodedBatch:
-    """Encode a labeled dataset for one target."""
-    if target not in dataset.labels:
-        raise ValueError(f"dataset has no labels for {target!r}")
-    return encode(dataset.records, spec, labels=dataset.labels[target])

@@ -15,6 +15,8 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
+from .discretize import TARGET_NAMES
+
 UNKNOWN_INDEX = 0
 UNKNOWN_TOKEN = "<UNK>"
 
@@ -27,12 +29,7 @@ TASK_COLUMNS = {
     "n_files": "NFILES",
     "n_events": "NEVENTS",
 }
-CLASS_COLUMNS = {
-    "RAMCOUNT": "RAMCOUNT_CLASS",
-    "CPUTIME": "CPUTIME_CLASS",
-    "IOINTENSITY": "IOINTENSITY_CLASS",
-    "WALLTIME": "WALLTIME_CLASS",
-}
+CLASS_COLUMNS = {target: f"{target}_CLASS" for target in TARGET_NAMES}
 JOB_COLUMNS = {
     "task_id": "TASK_ID",
     "max_pss": "MAXPSS_MB",

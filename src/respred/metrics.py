@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-PIPELINE_TARGETS = ("RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME")
+from .discretize import TARGET_NAMES
 
 
 @dataclass
@@ -224,12 +224,12 @@ def pipeline_metrics(
     labels: Mapping[str, Sequence[int]],
 ) -> PipelineReport:
     """Exact-match, at-least-k and average accuracy over the four targets."""
-    missing = set(PIPELINE_TARGETS) - set(predictions) | set(PIPELINE_TARGETS) - set(labels)
+    missing = set(TARGET_NAMES) - set(predictions) | set(TARGET_NAMES) - set(labels)
     if missing:
         raise ValueError(f"missing targets: {sorted(missing)}")
 
-    pred = {t: np.asarray(predictions[t], dtype=np.int64) for t in PIPELINE_TARGETS}
-    true = {t: np.asarray(labels[t], dtype=np.int64) for t in PIPELINE_TARGETS}
+    pred = {t: np.asarray(predictions[t], dtype=np.int64) for t in TARGET_NAMES}
+    true = {t: np.asarray(labels[t], dtype=np.int64) for t in TARGET_NAMES}
     lengths = {len(v) for v in pred.values()} | {len(v) for v in true.values()}
     if len(lengths) != 1:
         raise ValueError("prediction and label vectors must share length")
@@ -237,10 +237,10 @@ def pipeline_metrics(
     if n < 1:
         raise ValueError("need at least one sample")
 
-    correct = np.stack([pred[t] == true[t] for t in PIPELINE_TARGETS])  # (4, n)
+    correct = np.stack([pred[t] == true[t] for t in TARGET_NAMES])  # (4, n)
     n_correct = correct.sum(axis=0)
 
-    per_model = {t: float(correct[i].mean()) for i, t in enumerate(PIPELINE_TARGETS)}
+    per_model = {t: float(correct[i].mean()) for i, t in enumerate(TARGET_NAMES)}
     at_least = {k: float((n_correct >= k).mean()) for k in (1, 2, 3, 4)}
 
     return PipelineReport(

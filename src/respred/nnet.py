@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .discretize import BinSpec, ResourceClasses, classes_to_resource_classes
+from .discretize import TARGET_NAMES, BinSpec, ResourceClasses, classes_to_resource_classes
 from .encode import EncodedBatch, EncoderSpec, encode
 
 BN_EPS = 1e-5
@@ -534,18 +534,23 @@ def predict(
 ) -> tuple[list[ResourceClasses], dict[str, np.ndarray]]:
     """Run all four heads on raw task records in one inference pass.
 
-    Returns per-record ResourceClasses (argmax per target, lowest index on
-    ties) and the full probability matrix per target.
+    The records are encoded once per distinct encoder object, so heads that
+    share an encoder (every model set from train_all or load_artifact) share
+    one encoded batch. Returns per-record ResourceClasses (argmax per target,
+    lowest index on ties) and the full probability matrix per target.
     """
-    missing = set(("RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME")) - set(models)
+    missing = set(TARGET_NAMES) - set(models)
     if missing:
         raise ValueError(f"missing models for targets: {sorted(missing)}")
 
+    batches: dict[int, EncodedBatch] = {}
     probs: dict[str, np.ndarray] = {}
     classes: dict[str, np.ndarray] = {}
     for target, model in models.items():
-        batch = encode(records, model.encoder)
-        p = forward(model.net, batch, mode="inference")
+        key = id(model.encoder)
+        if key not in batches:
+            batches[key] = encode(records, model.encoder)
+        p = forward(model.net, batches[key], mode="inference")
         probs[target] = p
         classes[target] = p.argmax(axis=1)
     return classes_to_resource_classes(classes), probs

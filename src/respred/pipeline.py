@@ -1,9 +1,11 @@
 """End-to-end glue: label, split, train and evaluate the four targets.
 
-Each target gets its own stratified split (stratified on that target's
-classes) and its own encoder fitted on its training split, mirroring the
-per-model training discipline. Bin edges are fitted once on the full
-training corpus since they define the ground-truth classes.
+Bin edges are fitted once on the full training corpus, since they define
+the ground-truth classes. The labeled corpus then gets one stratified
+train/val/test split and one encoder fitted on its training rows; train,
+val and test are encoded once each and shared by the four heads, which
+differ only in their label column, network and seed. So every test row is
+held out from all four heads, and the saved artifact carries one encoder.
 """
 
 from __future__ import annotations
@@ -13,14 +15,9 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .discretize import (
-    TARGET_CLASS_COUNTS,
-    BinSpec,
-    assign_classes,
-    fit_bins,
-)
-from .encode import encode_split, fit_encoder
-from .ingest import Dataset, SplitSpec, stratified_split
+from .discretize import TARGET_NAMES, BinSpec, assign_classes, fit_bins
+from .encode import EncodedBatch, EncoderSpec, encode, fit_encoder
+from .ingest import Dataset, SplitResult, SplitSpec, stratified_split
 from .metrics import (
     ClasswiseReport,
     ConfusionMatrix,
@@ -34,16 +31,14 @@ from .metrics import (
 )
 from .nnet import Network, TargetModel, TrainConfig, TrainReport, forward, predict, train
 
-TARGETS = tuple(TARGET_CLASS_COUNTS)
-
 
 def fit_all_bins(
     target_values: Mapping[str, np.ndarray],
     top_caps: Optional[Mapping[str, float]] = None,
 ) -> dict[str, BinSpec]:
-    """Quantile bins per target at the Table-1 class counts (4/5/2/5)."""
+    """Quantile bins per target at the registry's class counts."""
     bins = {}
-    for name in TARGETS:
+    for name in TARGET_NAMES:
         cap = None if top_caps is None else top_caps.get(name)
         bins[name] = fit_bins(target_values[name], name, top_cap=cap)
     return bins
@@ -56,8 +51,17 @@ def label_dataset(
 ) -> Dataset:
     """Attach discretized class labels for every target."""
     return dataset.with_labels({
-        name: assign_classes(target_values[name], bins[name]) for name in TARGETS
+        name: assign_classes(target_values[name], bins[name]) for name in TARGET_NAMES
     })
+
+
+@dataclass
+class EncodedSplit:
+    """The one split of a labeled corpus, encoded once for all four heads."""
+
+    split: SplitResult
+    encoder: EncoderSpec
+    batches: tuple[EncodedBatch, EncodedBatch, EncodedBatch]   # train, val, test; no labels
 
 
 @dataclass
@@ -70,40 +74,36 @@ class TrainedTarget:
 
 
 def train_target(
-    labeled: Dataset,
+    data: EncodedSplit,
     target: str,
-    bins: Mapping[str, BinSpec],
+    bins: BinSpec,
     cfg: TrainConfig,
     hidden: tuple[int, ...] = (256, 128, 64),
-    split_seed: int = 0,
 ) -> TrainedTarget:
-    """Split, encode and train one head; report held-out accuracy."""
-    split = stratified_split(labeled, SplitSpec(seed=split_seed, stratify_on=target))
-    encoder = fit_encoder(split.train)
-    train_batch = encode_split(split.train, encoder, target)
-    val_batch = encode_split(split.val, encoder, target)
-    test_batch = encode_split(split.test, encoder, target)
-
-    net = Network(encoder, n_classes=bins[target].n_classes, hidden=hidden, seed=cfg.seed)
+    """Train one head on the shared batches; report held-out accuracy."""
+    train_batch, val_batch, test_batch = (
+        replace(batch, labels=part.labels[target]) for batch, part in zip(data.batches, data.split)
+    )
+    net = Network(data.encoder, n_classes=bins.n_classes, hidden=hidden, seed=cfg.seed)
     report = train(net, train_batch, val_batch, cfg)
 
     test_probs = forward(net, test_batch, mode="inference")
     test_acc = float((test_probs.argmax(axis=1) == test_batch.labels).mean())
-    counts = np.bincount(train_batch.labels, minlength=bins[target].n_classes)
+    counts = np.bincount(train_batch.labels, minlength=bins.n_classes)
     majority = int(counts.argmax())
     baseline = float((test_batch.labels == majority).mean())
 
     model = TargetModel(
         target=target,
         net=net,
-        encoder=encoder,
-        bins=bins[target],
+        encoder=data.encoder,
+        bins=bins,
         train_summary=report.summary(),
     )
     return TrainedTarget(
         model=model,
         report=report,
-        test=split.test,
+        test=data.split.test,
         test_accuracy=test_acc,
         majority_baseline=baseline,
     )
@@ -117,16 +117,18 @@ def train_all(
     split_seed: int = 0,
     bins: Optional[Mapping[str, BinSpec]] = None,
 ) -> tuple[dict[str, TargetModel], dict[str, TrainedTarget]]:
-    """Fit bins, then train the four heads with per-target seeds."""
+    """Fit bins, split and encode once, then train the four heads with per-target seeds."""
     if bins is None:
         bins = fit_all_bins(target_values)
     labeled = label_dataset(dataset, target_values, bins)
+    split = stratified_split(labeled, SplitSpec(seed=split_seed))
+    encoder = fit_encoder(split.train)
+    data = EncodedSplit(split, encoder, tuple(encode(part.records, encoder) for part in split))
 
     models: dict[str, TargetModel] = {}
     details: dict[str, TrainedTarget] = {}
-    for i, target in enumerate(TARGETS):
-        target_cfg = replace(cfg, seed=cfg.seed + i)
-        trained = train_target(labeled, target, bins, target_cfg, hidden, split_seed + i)
+    for i, target in enumerate(TARGET_NAMES):
+        trained = train_target(data, target, bins[target], replace(cfg, seed=cfg.seed + i), hidden)
         models[target] = trained.model
         details[target] = trained
     return models, details
@@ -183,7 +185,7 @@ def evaluate_models(
     predictions: dict[str, np.ndarray] = {}
     labels: dict[str, np.ndarray] = {}
 
-    for name in TARGETS:
+    for name in TARGET_NAMES:
         y_true = labeled.labels[name]
         p = probs[name]
         y_pred = p.argmax(axis=1)

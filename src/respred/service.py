@@ -1,22 +1,24 @@
 """Model persistence and the prediction microservice.
 
 The artifact is a single self-describing file: magic, version, a canonical
-JSON header (specs, shapes, block offsets) and raw little-endian float64
-weight blocks, so a save/load round-trip is bit-identical regardless of
-platform defaults. The service exposes POST /predict, POST /feedback,
-GET /health and GET /metrics-summary over plain HTTP/JSON; feedback is
-appended to a JSONL log and folded into per-target agreement counters.
+JSON header (the one encoder the four heads share, per-target specs, shapes,
+block offsets) and raw little-endian float64 weight blocks, so a save/load
+round-trip is bit-identical regardless of platform defaults. The service
+exposes POST /predict, POST /feedback, GET /health and GET /metrics-summary
+over plain HTTP/JSON; feedback is appended to a JSONL log and folded into
+per-target agreement counters.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -24,14 +26,13 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .discretize import BinSpec, assign_class, class_to_allocation
+from .discretize import TARGET_NAMES, BinSpec, assign_class, class_to_allocation
 from .encode import CategoricalSpec, EncoderSpec, NumericSpec
-from .ingest import TaskRecord
+from .ingest import TASK_COLUMNS, TaskRecord
 from .nnet import Network, TargetModel, TrainConfig, predict
 
 MAGIC = b"RPAF"
-FORMAT_VERSION = 1
-SERVED_TARGETS = ("RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME")
+FORMAT_VERSION = 2
 REQUEST_FEATURES = ("PROCESSINGTYPE", "FRAMEWORK", "NCORE", "NINPUT", "NFILES", "NEVENTS")
 BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
@@ -59,52 +60,19 @@ class ValidationError(ValueError):
 
 # --- spec <-> json ----------------------------------------------------------
 
-def _encoder_to_dict(spec: EncoderSpec) -> dict:
-    return {
-        "categorical": [
-            {"name": c.name, "vocabulary": c.vocabulary, "embed_dim": c.embed_dim}
-            for c in spec.categorical
-        ],
-        "numeric": [
-            {"name": n.name, "transform": n.transform, "mean": n.mean, "stddev": n.stddev}
-            for n in spec.numeric
-        ],
-        "dropped": list(spec.dropped),
-    }
-
+# asdict() writes a spec's tuples as JSON lists; the readers turn them back into tuples
 
 def _encoder_from_dict(doc: dict) -> EncoderSpec:
     return EncoderSpec(
-        categorical=tuple(
-            CategoricalSpec(name=c["name"], vocabulary=dict(c["vocabulary"]), embed_dim=int(c["embed_dim"]))
-            for c in doc["categorical"]
-        ),
-        numeric=tuple(
-            NumericSpec(name=n["name"], transform=n["transform"], mean=float(n["mean"]), stddev=float(n["stddev"]))
-            for n in doc["numeric"]
-        ),
-        dropped=tuple(doc.get("dropped", ())),
+        categorical=tuple(CategoricalSpec(**c) for c in doc["categorical"]),
+        numeric=tuple(NumericSpec(**n) for n in doc["numeric"]),
+        dropped=tuple(doc["dropped"]),
     )
-
-
-def _bins_to_dict(spec: BinSpec) -> dict:
-    return {
-        "target_name": spec.target_name,
-        "edges": list(spec.edges),
-        "n_classes": spec.n_classes,
-        "fit_method": spec.fit_method,
-        "allocation_values": list(spec.allocation_values),
-    }
 
 
 def _bins_from_dict(doc: dict) -> BinSpec:
-    return BinSpec(
-        target_name=doc["target_name"],
-        edges=tuple(float(e) for e in doc["edges"]),
-        n_classes=int(doc["n_classes"]),
-        fit_method=doc["fit_method"],
-        allocation_values=tuple(float(v) for v in doc["allocation_values"]),
-    )
+    return BinSpec(**{**doc, "edges": tuple(doc["edges"]),
+                      "allocation_values": tuple(doc["allocation_values"])})
 
 
 # --- artifact file ----------------------------------------------------------
@@ -122,9 +90,13 @@ def config_fingerprint(cfg: TrainConfig) -> str:
 
 
 def _artifact_bytes(artifact: ModelArtifact) -> bytes:
+    encoders = [model.encoder for model in artifact.models.values()]
+    if not encoders or encoders.count(encoders[0]) != len(encoders):
+        raise ValueError("an artifact's models must share one encoder")
     header: dict = {
         "created_at": artifact.created_at,
         "config_fingerprint": artifact.config_fingerprint,
+        "encoder": asdict(encoders[0]),
         "targets": {},
     }
     blocks: list[bytes] = []
@@ -135,8 +107,7 @@ def _artifact_bytes(artifact: ModelArtifact) -> bytes:
         entry: dict = {
             "n_classes": net.n_classes,
             "hidden": list(net.hidden),
-            "encoder": _encoder_to_dict(model.encoder),
-            "bins": _bins_to_dict(model.bins),
+            "bins": asdict(model.bins),
             "train_summary": model.train_summary,
             "params": [],
             "running": [],
@@ -166,8 +137,8 @@ def save_artifact(
     train_config: Optional[TrainConfig] = None,
     created_at: Optional[str] = None,
 ) -> ModelArtifact:
-    """Write a servable artifact; all four targets are required."""
-    missing = set(SERVED_TARGETS) - set(models)
+    """Write a servable artifact; all four targets, sharing one encoder, are required."""
+    missing = set(TARGET_NAMES) - set(models)
     if missing:
         raise NotServableError(f"artifact missing targets: {sorted(missing)}")
     artifact = ModelArtifact(
@@ -203,9 +174,9 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     body = raw[16 + header_len:]
     n_floats = len(body) // 8
 
+    encoder = _encoder_from_dict(header["encoder"])
     models: dict[str, TargetModel] = {}
     for target, entry in header["targets"].items():
-        encoder = _encoder_from_dict(entry["encoder"])
         bins = _bins_from_dict(entry["bins"])
         net = Network(encoder, n_classes=int(entry["n_classes"]), hidden=tuple(entry["hidden"]))
         for section, store in (("params", net.params), ("running", net.running)):
@@ -225,7 +196,7 @@ def load_artifact(path: str | Path) -> ModelArtifact:
             train_summary=entry.get("train_summary", {}),
         )
 
-    missing = set(SERVED_TARGETS) - set(models)
+    missing = set(TARGET_NAMES) - set(models)
     if missing:
         raise NotServableError(f"{path}: artifact missing targets {sorted(missing)}")
     return ModelArtifact(
@@ -243,22 +214,38 @@ def _sig9(x: float) -> float:
     return float(f"{x:.9g}")
 
 
+def _int_feature(doc: Mapping, name: str) -> int:
+    """An integral feature value; bools, fractions and non-finite numbers are refused."""
+    raw = doc[name]
+    try:
+        value = int(raw) if isinstance(raw, str) else raw
+        # float() raises for huge ints and non-numbers; is_integer() is False for 3.7, nan and inf
+        if not isinstance(value, bool) and float(value).is_integer():
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValidationError(f"{name} must be an integer, got {raw!r}", field_name=name)
+
+
 def record_from_request(doc: Mapping) -> TaskRecord:
+    """The TaskRecord a request describes; a bad feature is a ValidationError naming it."""
     for name in REQUEST_FEATURES:
         if name not in doc or doc[name] in ("", None):
             raise ValidationError(f"missing feature {name}", field_name=name)
-    try:
-        return TaskRecord(
-            task_id=str(doc.get("TASK_ID", "")),
-            processing_type=str(doc["PROCESSINGTYPE"]),
-            framework=str(doc["FRAMEWORK"]),
-            core_count=int(doc["NCORE"]),
-            n_input=int(doc["NINPUT"]),
-            n_files=int(doc["NFILES"]),
-            n_events=int(doc["NEVENTS"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"invalid feature value: {exc}", field_name=None) from None
+    record = TaskRecord(
+        task_id=str(doc.get("TASK_ID", "")),
+        processing_type=str(doc["PROCESSINGTYPE"]),
+        framework=str(doc["FRAMEWORK"]),
+        core_count=_int_feature(doc, "NCORE"),
+        n_input=_int_feature(doc, "NINPUT"),
+        n_files=_int_feature(doc, "NFILES"),
+        n_events=_int_feature(doc, "NEVENTS"),
+    )
+    problem = record.validate()
+    if problem is not None:
+        # validate() opens its message with the offending attribute
+        raise ValidationError(f"invalid request: {problem}", field_name=TASK_COLUMNS[problem.split()[0]])
+    return record
 
 
 def predict_request(artifact: ModelArtifact, doc: Mapping) -> dict:
@@ -270,7 +257,7 @@ def predict_request(artifact: ModelArtifact, doc: Mapping) -> dict:
 
     per_class = classes[0].as_dict()
     response: dict = {"task_id": record.task_id, "predictions": {}}
-    for target in SERVED_TARGETS:
+    for target in TARGET_NAMES:
         k = int(per_class[target])
         response["predictions"][target] = {
             "class": k,
@@ -283,14 +270,14 @@ def predict_request(artifact: ModelArtifact, doc: Mapping) -> dict:
 
 @dataclass
 class FeedbackCounters:
-    agree: dict[str, int] = field(default_factory=lambda: {t: 0 for t in SERVED_TARGETS})
-    disagree: dict[str, int] = field(default_factory=lambda: {t: 0 for t in SERVED_TARGETS})
+    agree: dict[str, int] = field(default_factory=lambda: {t: 0 for t in TARGET_NAMES})
+    disagree: dict[str, int] = field(default_factory=lambda: {t: 0 for t in TARGET_NAMES})
     n_records: int = 0
     n_unknown_task: int = 0
 
     def as_dict(self) -> dict:
         rates = {}
-        for t in SERVED_TARGETS:
+        for t in TARGET_NAMES:
             total = self.agree[t] + self.disagree[t]
             rates[t] = self.agree[t] / total if total else None
         return {
@@ -300,6 +287,44 @@ class FeedbackCounters:
             "disagree": dict(self.disagree),
             "agreement_rate": rates,
         }
+
+
+def _feedback_entry(doc: Mapping, artifact: ModelArtifact) -> dict:
+    """The log entry for a feedback document, checked for all four targets before any is counted."""
+    for name in ("task_id", "predicted_classes", "actual_targets"):
+        if name not in doc:
+            raise ValidationError(f"missing field {name}", field_name=name)
+    if not isinstance(doc["task_id"], str):
+        raise ValidationError("task_id must be a string", field_name="task_id")
+    predicted: dict[str, int] = {}
+    actual: dict[str, float] = {}
+    actual_classes: dict[str, int] = {}
+    for target in TARGET_NAMES:
+        bins = artifact.models[target].bins
+        try:
+            value = float(doc["actual_targets"][target])
+            k = doc["predicted_classes"][target]
+        except (KeyError, TypeError, ValueError, OverflowError):
+            raise ValidationError(
+                f"malformed feedback for target {target}", field_name=target
+            ) from None
+        if not math.isfinite(value):
+            raise ValidationError(f"actual {target} must be finite, got {value}", field_name=target)
+        if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < bins.n_classes:
+            raise ValidationError(
+                f"predicted {target} class must be an integer in [0, {bins.n_classes}), got {k!r}",
+                field_name=target,
+            )
+        predicted[target] = k
+        actual[target] = value
+        actual_classes[target] = assign_class(value, bins)
+    return {
+        "task_id": doc["task_id"],
+        "predicted_classes": predicted,
+        "actual_targets": actual,
+        "actual_classes": actual_classes,
+        "timestamp": doc.get("timestamp") or datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
 class PredictionService:
@@ -320,6 +345,7 @@ class PredictionService:
             self._replay_log()
 
     def _replay_log(self) -> None:
+        # log lines carry their actual classes, so replay needs no artifact
         for line in self.feedback_log.read_text().splitlines():
             if line.strip():
                 self._apply_feedback(json.loads(line), append=False)
@@ -339,48 +365,24 @@ class PredictionService:
         return response
 
     def feedback(self, doc: Mapping) -> dict:
-        if self.artifact is None:
-            raise NotServableError("no artifact loaded")
-        required = ("task_id", "predicted_classes", "actual_targets")
-        for name in required:
-            if name not in doc:
-                raise ValidationError(f"missing field {name}", field_name=name)
-        with self._lock:
-            ack = self._apply_feedback(dict(doc), append=True)
-        return ack
-
-    def _apply_feedback(self, doc: dict, append: bool) -> dict:
         artifact = self.artifact
-        actual_classes: dict[str, int] = {}
-        agreement: dict[str, bool] = {}
-        for target in SERVED_TARGETS:
-            try:
-                value = float(doc["actual_targets"][target])
-                predicted = int(doc["predicted_classes"][target])
-            except (KeyError, TypeError, ValueError):
-                raise ValidationError(
-                    f"malformed feedback for target {target}", field_name=target
-                ) from None
-            actual = assign_class(value, artifact.models[target].bins)
-            actual_classes[target] = actual
-            agreement[target] = actual == predicted
-            if agreement[target]:
-                self.counters.agree[target] += 1
-            else:
-                self.counters.disagree[target] += 1
+        if artifact is None:
+            raise NotServableError("no artifact loaded")
+        entry = _feedback_entry(doc, artifact)
+        with self._lock:
+            return self._apply_feedback(entry, append=True)
 
+    def _apply_feedback(self, entry: dict, append: bool) -> dict:
+        agreement = {
+            t: entry["actual_classes"][t] == entry["predicted_classes"][t] for t in TARGET_NAMES
+        }
+        for target, agree in agreement.items():
+            (self.counters.agree if agree else self.counters.disagree)[target] += 1
         self.counters.n_records += 1
-        known = doc["task_id"] in self._predicted_ids
+        known = entry["task_id"] in self._predicted_ids
         if not known:
             self.counters.n_unknown_task += 1
 
-        entry = {
-            "task_id": doc["task_id"],
-            "predicted_classes": {t: int(doc["predicted_classes"][t]) for t in SERVED_TARGETS},
-            "actual_targets": {t: float(doc["actual_targets"][t]) for t in SERVED_TARGETS},
-            "actual_classes": actual_classes,
-            "timestamp": doc.get("timestamp") or datetime.now(timezone.utc).isoformat(timespec="seconds"),
-        }
         if append and self.feedback_log is not None:
             with self.feedback_log.open("a") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
@@ -388,7 +390,7 @@ class PredictionService:
         return {
             "status": "recorded",
             "known_task": known,
-            "actual_classes": actual_classes,
+            "actual_classes": entry["actual_classes"],
             "agreement": agreement,
         }
 
@@ -402,7 +404,7 @@ class _Handler(BaseHTTPRequestHandler):
     service: PredictionService   # set by make_server
 
     def _send(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))

@@ -24,13 +24,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .discretize import BinSpec, ResourceClasses, assign_class, class_to_allocation
+from .discretize import TARGET_NAMES, BinSpec, ResourceClasses, assign_class, class_to_allocation
 from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies
 from .targets import ResourceConfig, aggregate_scouts
 
 HOUR = 3600.0
-
-TARGET_NAMES = ("RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME")
 
 
 @dataclass(frozen=True)

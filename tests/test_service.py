@@ -111,10 +111,25 @@ def test_artifact_version_mismatch(models, tmp_path):
     path = tmp_path / "v.rpa"
     save_artifact(models, path)
     raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 99)
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ArtifactVersionError):
-        load_artifact(path)
+    for version in (99, 1):
+        raw[4:8] = struct.pack("<I", version)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactVersionError):
+            load_artifact(path)
+
+
+def test_artifact_requires_one_shared_encoder(models, tmp_path):
+    models, synth = models
+    other = fit_encoder(synth.dataset.subset(range(100)))
+    mixed = dict(models)
+    mixed["WALLTIME"] = TargetModel(
+        target="WALLTIME",
+        net=Network(other, models["WALLTIME"].bins.n_classes, hidden=(16, 8, 4)),
+        encoder=other,
+        bins=models["WALLTIME"].bins,
+    )
+    with pytest.raises(ValueError, match="share one encoder"):
+        save_artifact(mixed, tmp_path / "mixed.rpa")
 
 
 def test_artifact_missing_target_not_servable(models, tmp_path):
@@ -156,6 +171,36 @@ def test_predict_request_missing_feature(models):
     with pytest.raises(ValidationError, match="NEVENTS") as err:
         predict_request(artifact, doc)
     assert err.value.field == "NEVENTS"
+
+
+@pytest.mark.parametrize("name, value", [
+    ("NINPUT", -1),
+    ("NEVENTS", -3),
+    ("NCORE", 0),
+    ("NINPUT", 3.7),
+    ("NEVENTS", True),
+    ("NFILES", "many"),
+    ("NCORE", [8]),
+    pytest.param("NEVENTS", 10 ** 400, id="NEVENTS-huge"),
+])
+def test_predict_request_rejects_bad_feature(models, name, value):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    doc = sample_request(synth.dataset.records[0])
+    doc[name] = value
+    with pytest.raises(ValidationError) as err:
+        predict_request(artifact, doc)
+    assert err.value.field == name
+
+
+def test_predict_request_accepts_integral_spellings(models):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    doc = sample_request(synth.dataset.records[0])
+    expected = predict_request(artifact, doc)["predictions"]
+    doc["NCORE"] = float(doc["NCORE"])
+    doc["NEVENTS"] = str(doc["NEVENTS"])
+    assert predict_request(artifact, doc)["predictions"] == expected
 
 
 def test_predict_request_repeatable(models):
@@ -285,6 +330,56 @@ def test_feedback_malformed_rejected(models, tmp_path):
         })
 
 
+MISSING = object()
+
+
+@pytest.mark.parametrize("section, target, value", [
+    ("actual_targets", "WALLTIME", MISSING),
+    ("actual_targets", "WALLTIME", float("nan")),
+    ("actual_targets", "CPUTIME", float("inf")),
+    ("predicted_classes", "IOINTENSITY", 99),
+    ("predicted_classes", "RAMCOUNT", -1),
+    ("predicted_classes", "CPUTIME", 1.0),
+    ("predicted_classes", "RAMCOUNT", True),
+])
+def test_feedback_is_all_or_nothing(models, tmp_path, section, target, value):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    log_path = tmp_path / "fb.jsonl"
+    svc = PredictionService(artifact, feedback_log=log_path)
+    doc = {
+        "task_id": "t0",
+        "predicted_classes": {t: 0 for t in TARGETS},
+        "actual_targets": actual_targets_for(synth, 0),
+    }
+    if value is MISSING:
+        del doc[section][target]
+    else:
+        doc[section][target] = value
+    with pytest.raises(ValidationError, match=target) as err:
+        svc.feedback(doc)
+    assert err.value.field == target
+    summary = svc.metrics_summary()
+    assert summary["n_records"] == 0
+    assert all(summary["agree"][t] == summary["disagree"][t] == 0 for t in TARGETS)
+    assert not log_path.exists()
+
+
+def test_feedback_log_replays_without_artifact(models, tmp_path):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    log_path = tmp_path / "fb.jsonl"
+    svc = PredictionService(artifact, feedback_log=log_path)
+    for i in range(10):
+        svc.feedback({
+            "task_id": f"task{i}",
+            "predicted_classes": {t: i % 2 for t in TARGETS},
+            "actual_targets": actual_targets_for(synth, i),
+        })
+    replayed = PredictionService(None, feedback_log=log_path).metrics_summary()
+    assert replayed == svc.metrics_summary()
+
+
 # --- http layer
 
 def http_json(url, payload=None):
@@ -342,6 +437,23 @@ def test_http_predict_validation_error(server):
     status, body = http_json(base + "/predict", doc)
     assert status == 400
     assert body["field"] == "NCORE"
+
+
+def test_http_predict_bad_feature_is_400(server):
+    base, _, synth = server
+    doc = sample_request(synth.dataset.records[0])
+    doc.update(NINPUT=-1, NEVENTS=-3)
+    status, body = http_json(base + "/predict", doc)
+    assert status == 400
+    assert body["field"] == "NINPUT"
+
+
+def test_http_never_sends_nan(server, monkeypatch):
+    base, svc, synth = server
+    monkeypatch.setattr(svc, "predict", lambda doc: {"probabilities": [float("nan")]})
+    status, body = http_json(base + "/predict", sample_request(synth.dataset.records[0]))
+    assert status == 500
+    assert "error" in body
 
 
 def test_http_unknown_path(server):
