@@ -11,6 +11,24 @@ abort on any non-finite loss.
 
 Everything is numpy; forward/backward are hand-derived so gradients can be
 checked against central finite differences.
+
+The train-mode step allocates no activation-sized arrays. Each Network keeps
+a workspace of scratch buffers keyed by (name, shape), so the full batches
+and the last short batch of an epoch each get their own set; the dropout
+masks, activations, gates, input gradients and dense weight gradients are
+written into it with ``out=``, and ``train`` empties it when it returns.
+Arrays that train mode hands back (masks, gradients, cache) are views of
+that workspace and hold only until the next train-mode call on the same
+network. Inference and "mc" modes allocate fresh arrays, except for masks
+drawn by make_dropout_masks; inference alone never touches the workspace,
+so concurrent predictions on one network are safe.
+
+Train mode leaves the dense bias out: batch normalization subtracts the
+batch mean, which cancels any per-unit bias exactly, so ``z = x @ W`` and the
+running mean tracks ``mean(z) + b`` instead. Inference computes
+``x @ W + b`` against that running mean, so a model predicts the same
+either way, and the train-mode gradient of ``dense<i>:b`` is exactly zero
+rather than rounding noise that Adam would turn into bias drift.
 """
 
 from __future__ import annotations
@@ -61,7 +79,8 @@ class Network:
 
     params maps names to arrays: ``emb:<feature>``, ``dense<i>:{W,b,gamma,beta}``,
     ``out:{W,b}``. Batch-norm running statistics live in ``running`` and are
-    buffers, not parameters.
+    buffers, not parameters. ``workspace`` holds the train-mode scratch
+    arrays; it is never saved and may be cleared at any time.
     """
 
     def __init__(
@@ -83,6 +102,7 @@ class Network:
         rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
         self.running: dict[str, np.ndarray] = {}
+        self.workspace: dict[tuple[str, tuple[int, ...]], np.ndarray] = {}
 
         for name, _vocab, dim in self.cat_features:
             shape = (_vocab, dim)
@@ -126,19 +146,37 @@ class Network:
     def check_finite(self) -> bool:
         return all(np.isfinite(v).all() for v in self.params.values())
 
+    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """The workspace array for (name, shape); its contents are left over from the last use."""
+        key = (name, shape)
+        buf = self.workspace.get(key)
+        if buf is None:
+            buf = self.workspace[key] = np.empty(shape)
+        return buf
+
 
 def make_dropout_masks(
     net: Network, n_rows: int, rates: Sequence[float], rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Inverted-dropout masks, one per hidden layer: Bernoulli(keep) / keep."""
+    """Inverted-dropout masks, one per hidden layer: Bernoulli(keep) / keep.
+
+    One uniform draw covers every layer. The masks are views into the
+    network's workspace, overwritten by its next draw for the same row count.
+    """
+    draws = rng.random(out=net.buffer("masks", (n_rows, sum(net.hidden))))
     masks = []
+    start = 0
     for width, rate in zip(net.hidden, rates):
         keep = 1.0 - rate
-        masks.append((rng.random((n_rows, width)) < keep).astype(float) / keep)
+        mask = draws[:, start:start + width]
+        np.less(mask, keep, out=mask)
+        mask /= keep
+        masks.append(mask)
+        start += width
     return masks
 
 
-def _concat_inputs(net: Network, batch: EncodedBatch) -> np.ndarray:
+def _concat_inputs(net: Network, batch: EncodedBatch, out: Optional[np.ndarray] = None) -> np.ndarray:
     segments = []
     for name, vocab, _dim in net.cat_features:
         idx = batch.categorical_indices[name]
@@ -146,12 +184,63 @@ def _concat_inputs(net: Network, batch: EncodedBatch) -> np.ndarray:
             raise ValueError(f"{name}: index exceeds vocabulary size {vocab}")
         segments.append(net.params[f"emb:{name}"][idx])
     segments.append(batch.numeric_matrix)
-    x = np.concatenate(segments, axis=1)
-    if x.shape[1] != net.input_width:
+    width = sum(s.shape[1] for s in segments)
+    if width != net.input_width:
         raise ValueError(
-            f"encoded width {x.shape[1]} does not match network input width {net.input_width}"
+            f"encoded width {width} does not match network input width {net.input_width}"
         )
-    return x
+    return np.concatenate(segments, axis=1, out=out)
+
+
+def _forward_train(
+    net: Network, batch: EncodedBatch, masks: Optional[list[np.ndarray]]
+) -> tuple[np.ndarray, list[dict]]:
+    """Batch-statistics forward into the workspace: (last hidden output, per-layer cache)."""
+    n = batch.row_count
+    x = _concat_inputs(net, batch, out=net.buffer("x0", (n, net.input_width)))
+    layers = []
+    for i, width in enumerate(net.hidden):
+        shape = (n, width)
+        gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
+        # z = x @ W without the bias, which the batch mean cancels; centred and scaled in place
+        xhat = np.matmul(x, net.params[f"dense{i}:W"], out=net.buffer(f"xhat{i}", shape))
+        mu = xhat.mean(axis=0)
+        xhat -= mu
+        var = np.einsum("ij,ij->j", xhat, xhat) / n     # biased, as normalized
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv_std
+        out = np.multiply(xhat, gamma, out=net.buffer(f"out{i}", shape))
+        out += beta
+        # ReLU then dropout is one multiplication by the gate, also d(out)/d(a)
+        gate = np.greater(out, 0.0, out=net.buffer(f"gate{i}", shape))
+        if masks is not None:
+            gate *= masks[i]
+        out *= gate
+        layers.append({"x_in": x, "xhat": xhat, "gate": gate, "mu": mu, "var": var, "inv_std": inv_std})
+        x = out
+    return x, layers
+
+
+def _forward_eval(
+    net: Network, batch: EncodedBatch, mode: str, masks: Optional[list[np.ndarray]]
+) -> tuple[np.ndarray, list[dict]]:
+    """Running-statistics forward, with dropout in "mc" mode: (last hidden output, per-layer cache)."""
+    use_dropout = mode == "mc" and masks is not None
+    x = _concat_inputs(net, batch)
+    layers = []
+    for i in range(len(net.hidden)):
+        W, b = net.params[f"dense{i}:W"], net.params[f"dense{i}:b"]
+        gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
+        z = x @ W + b
+        inv_std = 1.0 / np.sqrt(net.running[f"dense{i}:var"] + BN_EPS)
+        xhat = (z - net.running[f"dense{i}:mean"]) * inv_std
+        a = gamma * xhat + beta
+        out = np.maximum(a, 0.0)
+        if use_dropout:
+            out *= masks[i]
+        layers.append({"x_in": x, "xhat": xhat, "a": a, "inv_std": inv_std})
+        x = out
+    return x, layers
 
 
 def _forward_cached(
@@ -163,39 +252,12 @@ def _forward_cached(
     # "train": batch statistics + dropout; "inference": running statistics,
     # no dropout; "mc": running statistics with dropout sampling (Monte-Carlo
     # dropout, also what the unbiasedness check needs).
-    batch_stats = mode == "train"
-    use_dropout = mode in ("train", "mc") and dropout_masks is not None
-    x = _concat_inputs(net, batch)
-    cache: dict = {"x0": x, "layers": [], "mode": mode, "masks": dropout_masks}
-
-    for i in range(len(net.hidden)):
-        W, b = net.params[f"dense{i}:W"], net.params[f"dense{i}:b"]
-        gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
-        z = x @ W + b
-        if batch_stats:
-            mu = z.mean(axis=0)
-            var = z.var(axis=0)     # biased, as normalized
-        else:
-            mu = net.running[f"dense{i}:mean"]
-            var = net.running[f"dense{i}:var"]
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (z - mu) * inv_std
-        a = gamma * xhat + beta
-        r = np.maximum(a, 0.0)
-        if use_dropout:
-            out = r * dropout_masks[i]
-        else:
-            out = r
-        cache["layers"].append({
-            "x_in": x, "z": z, "mu": mu, "var": var, "inv_std": inv_std,
-            "xhat": xhat, "a": a, "r": r,
-        })
-        x = out
+    if mode == "train":
+        x, layers = _forward_train(net, batch, dropout_masks)
+    else:
+        x, layers = _forward_eval(net, batch, mode, dropout_masks)
 
     logits = x @ net.params["out:W"] + net.params["out:b"]
-    cache["x_last"] = x
-    cache["logits"] = logits
-
     if net.binary:
         p = 1.0 / (1.0 + np.exp(-logits[:, 0]))
         probs = np.column_stack([1.0 - p, p])
@@ -203,7 +265,10 @@ def _forward_cached(
         shifted = logits - logits.max(axis=1, keepdims=True)
         expz = np.exp(shifted)
         probs = expz / expz.sum(axis=1, keepdims=True)
-    cache["probs"] = probs
+    cache = {
+        "layers": layers, "mode": mode, "masks": dropout_masks,
+        "x_last": x, "logits": logits, "probs": probs,
+    }
     return probs, cache
 
 
@@ -257,9 +322,29 @@ def loss(
     w = np.asarray(weights, dtype=float)[labels]
     data = float((w * -np.log(p_true)).sum() / w.sum())
     l2 = 0.5 * cfg.l2_lambda * sum(
-        float((net.params[k] ** 2).sum()) for k in net.weight_names()
+        float(np.vdot(net.params[k], net.params[k])) for k in net.weight_names()
     )
     return data + l2
+
+
+def _bn_backward(
+    da: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv_std: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batch-norm backward through the batch statistics, in closed form.
+
+    With a = gamma * xhat + beta and xhat the batch-normalized z, returns
+    (dz, dgamma, dbeta) where
+    dz = gamma * inv_std / n * (n * da - sum(da) - xhat * sum(da * xhat)).
+    dz is written over da, and xhat is used as scratch.
+    """
+    n = da.shape[0]
+    dgamma = np.einsum("ij,ij->j", da, xhat)
+    dbeta = da.sum(axis=0)
+    xhat *= dgamma / n
+    da -= xhat
+    da -= dbeta / n
+    da *= gamma * inv_std
+    return da, dgamma, dbeta
 
 
 def loss_and_grads(
@@ -270,7 +355,11 @@ def loss_and_grads(
     mode: str = "train",
     dropout_masks: Optional[list[np.ndarray]] = None,
 ) -> tuple[float, dict[str, np.ndarray], dict]:
-    """Backpropagation through the full stack; returns (loss, grads, cache)."""
+    """Backpropagation through the full stack; returns (loss, grads, cache).
+
+    In train mode the dense weight gradients live in the network's workspace
+    and the cache's activations are spent by the backward pass.
+    """
     labels = batch.labels
     if labels is None:
         raise ValueError("batch carries no labels")
@@ -294,42 +383,46 @@ def loss_and_grads(
     x_last = cache["x_last"]
     grads["out:W"] = x_last.T @ dlogits + cfg.l2_lambda * net.params["out:W"]
     grads["out:b"] = dlogits.sum(axis=0)
-    dx = dlogits @ net.params["out:W"].T
 
     train = mode == "train"
     masks = cache["masks"]
-    for i in reversed(range(len(net.hidden))):
+    hidden = net.hidden
+    n_embedded = sum(dim for _name, _vocab, dim in net.cat_features)
+    dx = np.matmul(dlogits, net.params["out:W"].T,
+                   out=net.buffer(f"dx{len(hidden) - 1}", x_last.shape) if train else None)
+    for i in reversed(range(len(hidden))):
         layer = cache["layers"][i]
-        if train and masks is not None:
-            dr = dx * masks[i]
-        else:
-            dr = dx
-        da = dr * (layer["a"] > 0)
-        gamma = net.params[f"dense{i}:gamma"]
-        xhat, inv_std = layer["xhat"], layer["inv_std"]
-        grads[f"dense{i}:gamma"] = (da * xhat).sum(axis=0)
-        grads[f"dense{i}:beta"] = da.sum(axis=0)
-        dxhat = da * gamma
-        if train:
-            # gradient through the batch statistics
-            z, mu = layer["z"], layer["mu"]
-            dvar = (dxhat * (z - mu)).sum(axis=0) * (-0.5) * inv_std ** 3
-            dmu = (-dxhat * inv_std).sum(axis=0) + dvar * (-2.0 * (z - mu)).sum(axis=0) / n
-            dz = dxhat * inv_std + dvar * 2.0 * (z - mu) / n + dmu / n
-        else:
-            dz = dxhat * inv_std
         W = net.params[f"dense{i}:W"]
-        grads[f"dense{i}:W"] = layer["x_in"].T @ dz + cfg.l2_lambda * W
-        grads[f"dense{i}:b"] = dz.sum(axis=0)
-        dx = dz @ W.T
+        gamma = net.params[f"dense{i}:gamma"]
+        if train:
+            dx *= layer["gate"]
+            dz, dgamma, dbeta = _bn_backward(dx, layer["xhat"], gamma, layer["inv_std"])
+            dW = np.matmul(layer["x_in"].T, dz, out=net.buffer(f"dW{i}", W.shape))
+            dW += np.multiply(W, cfg.l2_lambda, out=net.buffer("l2W", W.shape))
+            db = np.zeros(hidden[i])        # the bias is not in the train-mode forward
+        else:
+            da = dx * (layer["a"] > 0)
+            if mode == "mc" and masks is not None:
+                da *= masks[i]
+            dgamma = (da * layer["xhat"]).sum(axis=0)
+            dbeta = da.sum(axis=0)
+            dz = da * (gamma * layer["inv_std"])
+            dW = layer["x_in"].T @ dz + cfg.l2_lambda * W
+            db = dz.sum(axis=0)
+        grads[f"dense{i}:gamma"] = dgamma
+        grads[f"dense{i}:beta"] = dbeta
+        grads[f"dense{i}:W"] = dW
+        grads[f"dense{i}:b"] = db
+        if i:
+            dx = np.matmul(dz, W.T, out=net.buffer(f"dx{i - 1}", (n, hidden[i - 1])) if train else None)
+        else:
+            dx = dz @ W[:n_embedded].T      # of the input, only the embedding columns need it
 
-    # split the input gradient back into embedding tables
+    # the embeddings fill the first input columns; split their gradient back into the tables
     offset = 0
     for name, _vocab, dim in net.cat_features:
-        seg = dx[:, offset:offset + dim]
-        table = net.params[f"emb:{name}"]
-        grad = cfg.l2_lambda * table.copy()
-        np.add.at(grad, batch.categorical_indices[name], seg)
+        grad = cfg.l2_lambda * net.params[f"emb:{name}"]
+        np.add.at(grad, batch.categorical_indices[name], dx[:, offset:offset + dim])
         grads[f"emb:{name}"] = grad
         offset += dim
 
@@ -341,6 +434,7 @@ class AdamState:
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 def adam_update(
@@ -349,18 +443,30 @@ def adam_update(
     state: AdamState,
     cfg: TrainConfig,
 ) -> None:
-    """One bias-corrected Adam step, in place."""
+    """One bias-corrected Adam step: params, m and v change in place, grads are only read."""
     state.t += 1
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    step = cfg.learning_rate / (1 - b1 ** state.t)
+    v_correction = 1 - b2 ** state.t
     for name, g in grads.items():
         if name not in state.m:
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        m_hat = state.m[name] / (1 - b1 ** state.t)
-        v_hat = state.v[name] / (1 - b2 ** state.t)
-        params[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        if state.scratch.size < g.size:
+            state.scratch = np.empty(g.size)
+        m, v, s = state.m[name], state.v[name], state.scratch[:g.size].reshape(g.shape)
+        m *= b1
+        m += np.multiply(g, 1 - b1, out=s)
+        v *= b2
+        np.multiply(g, 1 - b2, out=s)
+        v += np.multiply(s, g, out=s)
+        # lr * m_hat / (sqrt(v_hat) + eps)
+        np.divide(v, v_correction, out=s)
+        np.sqrt(s, out=s)
+        s += cfg.adam_eps
+        np.divide(m, s, out=s)
+        s *= step
+        params[name] -= s
 
 
 def train_step(
@@ -383,9 +489,10 @@ def train_step(
         raise NanLossError(f"non-finite training loss: {batch_loss}")
     adam_update(net.params, grads, adam_state, cfg)
     mom = cfg.bn_momentum
-    for i in range(len(net.hidden)):
-        layer = cache["layers"][i]
-        net.running[f"dense{i}:mean"] = mom * net.running[f"dense{i}:mean"] + (1 - mom) * layer["mu"]
+    for i, layer in enumerate(cache["layers"]):
+        # the running mean is of x @ W + b, what inference normalizes
+        mean = layer["mu"] + net.params[f"dense{i}:b"]
+        net.running[f"dense{i}:mean"] = mom * net.running[f"dense{i}:mean"] + (1 - mom) * mean
         net.running[f"dense{i}:var"] = mom * net.running[f"dense{i}:var"] + (1 - mom) * layer["var"]
     return batch_loss
 
@@ -467,35 +574,38 @@ def train(
     stopper = EarlyStopper(patience=cfg.patience)
     best_state: Optional[dict[str, np.ndarray]] = None
 
-    for epoch in range(1, cfg.max_epochs + 1):
-        order = rng.permutation(train_batch.row_count)
-        batch_losses = []
-        try:
-            for start in range(0, train_batch.row_count, cfg.batch_size):
-                idx = order[start:start + cfg.batch_size]
-                mini = train_batch.take(idx)
-                masks = make_dropout_masks(net, mini.row_count, cfg.dropout_rates, rng)
-                batch_losses.append(train_step(net, mini, cfg, adam_state, weights, masks))
-        except NanLossError:
-            report.stop_reason = "nan_abort"
-            report.weights_trained = False
-            return report
+    try:
+        for epoch in range(1, cfg.max_epochs + 1):
+            order = rng.permutation(train_batch.row_count)
+            batch_losses = []
+            try:
+                for start in range(0, train_batch.row_count, cfg.batch_size):
+                    idx = order[start:start + cfg.batch_size]
+                    mini = train_batch.take(idx)
+                    masks = make_dropout_masks(net, mini.row_count, cfg.dropout_rates, rng)
+                    batch_losses.append(train_step(net, mini, cfg, adam_state, weights, masks))
+            except NanLossError:
+                report.stop_reason = "nan_abort"
+                report.weights_trained = False
+                return report
 
-        report.train_loss.append(float(np.mean(batch_losses)))
-        val_probs = forward(net, val_batch, mode="inference")
-        report.val_loss.append(loss(val_probs, val_batch.labels, weights, net, cfg))
-        val_acc = float((val_probs.argmax(axis=1) == val_batch.labels).mean())
-        report.val_accuracy.append(val_acc)
+            report.train_loss.append(float(np.mean(batch_losses)))
+            val_probs = forward(net, val_batch, mode="inference")
+            report.val_loss.append(loss(val_probs, val_batch.labels, weights, net, cfg))
+            val_acc = float((val_probs.argmax(axis=1) == val_batch.labels).mean())
+            report.val_accuracy.append(val_acc)
 
-        improved = stopper.best < val_acc
-        should_stop = stopper.update(epoch, val_acc)
-        if improved:
-            best_state = net.snapshot()
-        if should_stop:
-            report.stop_reason = "early_stop"
-            break
-    else:
-        report.stop_reason = "max_epochs"
+            improved = stopper.best < val_acc
+            should_stop = stopper.update(epoch, val_acc)
+            if improved:
+                best_state = net.snapshot()
+            if should_stop:
+                report.stop_reason = "early_stop"
+                break
+        else:
+            report.stop_reason = "max_epochs"
+    finally:
+        net.workspace.clear()     # the scratch buffers hold megabytes per head
 
     report.best_epoch = stopper.best_epoch
     if best_state is not None:

@@ -5,8 +5,10 @@ JSON header (the one encoder the four heads share, per-target specs, shapes,
 block offsets) and raw little-endian float64 weight blocks, so a save/load
 round-trip is bit-identical regardless of platform defaults. The service
 exposes POST /predict, POST /feedback, GET /health and GET /metrics-summary
-over plain HTTP/JSON; feedback is appended to a JSONL log and folded into
-per-target agreement counters.
+over plain HTTP/JSON; a request body over MAX_BODY_BYTES is refused with 413
+before it is read. Feedback is appended to a JSONL log, each line marked with
+whether its task was predicted by this process, and folded into per-target
+agreement counters; a restarted service replays the log into its counters.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ FORMAT_VERSION = 2
 REQUEST_FEATURES = ("PROCESSINGTYPE", "FRAMEWORK", "NCORE", "NINPUT", "NFILES", "NEVENTS")
 BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
+MAX_BODY_BYTES = 1 << 20     # a request body is a few hundred bytes
 
 
 class CorruptArtifactError(ValueError):
@@ -56,6 +59,10 @@ class ValidationError(ValueError):
     def __init__(self, message: str, field_name: Optional[str] = None) -> None:
         super().__init__(message)
         self.field = field_name
+
+
+class BodyTooLargeError(ValidationError):
+    """The declared request body exceeds MAX_BODY_BYTES."""
 
 
 # --- spec <-> json ----------------------------------------------------------
@@ -171,23 +178,51 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptArtifactError(f"{path}: unreadable header ({exc})") from None
 
-    body = raw[16 + header_len:]
-    n_floats = len(body) // 8
+    try:
+        models = _models_from_header(header, raw[16 + header_len:], path)
+        created_at = header["created_at"]
+        fingerprint = header.get("config_fingerprint", "")
+    except KeyError as exc:
+        raise CorruptArtifactError(f"{path}: header lacks key {exc.args[0]!r}") from None
+    except TypeError as exc:
+        # a header value of the wrong type, or a spec with missing or unknown fields
+        raise CorruptArtifactError(f"{path}: malformed header ({exc})") from None
 
+    missing = set(TARGET_NAMES) - set(models)
+    if missing:
+        raise NotServableError(f"{path}: artifact missing targets {sorted(missing)}")
+    return ModelArtifact(
+        models=models,
+        created_at=created_at,
+        config_fingerprint=fingerprint,
+        version=version,
+    )
+
+
+def _models_from_header(header: dict, body: bytes, path: str | Path) -> dict[str, TargetModel]:
+    n_floats = len(body) // 8
     encoder = _encoder_from_dict(header["encoder"])
     models: dict[str, TargetModel] = {}
     for target, entry in header["targets"].items():
         bins = _bins_from_dict(entry["bins"])
         net = Network(encoder, n_classes=int(entry["n_classes"]), hidden=tuple(entry["hidden"]))
         for section, store in (("params", net.params), ("running", net.running)):
+            loaded = set()
             for item in entry[section]:
-                shape = tuple(item["shape"])
+                name, shape = item["name"], tuple(item["shape"])
+                if name not in store or store[name].shape != shape:
+                    raise CorruptArtifactError(f"{path}: {target} has no tensor {name} of shape {shape}")
                 size = int(np.prod(shape)) if shape else 1
                 off = int(item["offset"])
                 if off + size > n_floats:
-                    raise CorruptArtifactError(f"{path}: truncated weight block {item['name']}")
+                    raise CorruptArtifactError(f"{path}: truncated weight block {name}")
                 arr = np.frombuffer(body, dtype="<f8", count=size, offset=off * 8)
-                store[item["name"]] = arr.reshape(shape).copy()
+                store[name] = arr.reshape(shape).copy()
+                loaded.add(name)
+            if loaded != set(store):
+                raise CorruptArtifactError(
+                    f"{path}: {target} lacks {section} {sorted(set(store) - loaded)}"
+                )
         models[target] = TargetModel(
             target=target,
             net=net,
@@ -195,16 +230,7 @@ def load_artifact(path: str | Path) -> ModelArtifact:
             bins=bins,
             train_summary=entry.get("train_summary", {}),
         )
-
-    missing = set(TARGET_NAMES) - set(models)
-    if missing:
-        raise NotServableError(f"{path}: artifact missing targets {sorted(missing)}")
-    return ModelArtifact(
-        models=models,
-        created_at=header["created_at"],
-        config_fingerprint=header.get("config_fingerprint", ""),
-        version=version,
-    )
+    return models
 
 
 # --- prediction and feedback ------------------------------------------------
@@ -345,7 +371,7 @@ class PredictionService:
             self._replay_log()
 
     def _replay_log(self) -> None:
-        # log lines carry their actual classes, so replay needs no artifact
+        # log lines carry their actual classes and known_task, so replay needs no artifact
         for line in self.feedback_log.read_text().splitlines():
             if line.strip():
                 self._apply_feedback(json.loads(line), append=False)
@@ -370,6 +396,7 @@ class PredictionService:
             raise NotServableError("no artifact loaded")
         entry = _feedback_entry(doc, artifact)
         with self._lock:
+            entry["known_task"] = entry["task_id"] in self._predicted_ids
             return self._apply_feedback(entry, append=True)
 
     def _apply_feedback(self, entry: dict, append: bool) -> dict:
@@ -379,7 +406,8 @@ class PredictionService:
         for target, agree in agreement.items():
             (self.counters.agree if agree else self.counters.disagree)[target] += 1
         self.counters.n_records += 1
-        known = entry["task_id"] in self._predicted_ids
+        # log lines written before known_task was recorded count as unknown
+        known = entry.get("known_task", False)
         if not known:
             self.counters.n_unknown_task += 1
 
@@ -412,7 +440,17 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
+        declared = self.headers.get("Content-Length", "0").strip()
+        if not (declared.isascii() and declared.isdigit()):
+            raise ValidationError(
+                f"Content-Length must be a non-negative integer, got {declared!r}",
+                field_name="Content-Length",
+            )
+        length = int(declared)
+        if length > MAX_BODY_BYTES:
+            raise BodyTooLargeError(
+                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}", field_name="Content-Length"
+            )
         raw = self.rfile.read(length)
         try:
             doc = json.loads(raw.decode("utf-8"))
@@ -440,6 +478,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(200, self.service.feedback(doc))
             else:
                 self._send(404, {"error": f"unknown path {self.path}"})
+        except BodyTooLargeError as exc:
+            self._send(413, {"error": str(exc), "field": exc.field})
         except ValidationError as exc:
             self._send(400, {"error": str(exc), "field": exc.field})
         except NotServableError as exc:

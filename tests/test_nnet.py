@@ -13,6 +13,7 @@ import pytest
 from respred.encode import CategoricalSpec, EncodedBatch, EncoderSpec, NumericSpec, encode
 from respred.ingest import TaskRecord
 from respred.nnet import (
+    BN_EPS,
     AdamState,
     EarlyStopper,
     NanLossError,
@@ -28,6 +29,7 @@ from respred.nnet import (
     predict,
     train,
     train_step,
+    _bn_backward,
 )
 from respred.discretize import explicit_bins
 
@@ -201,6 +203,77 @@ def test_gradients_match_finite_differences(mode, n_classes):
     assert worst < 1e-4, f"max relative gradient error {worst}"
 
 
+def long_form_bn_backward(da, z, gamma):
+    """Batch-norm backward through mean and variance term by term: the reference formula."""
+    n = z.shape[0]
+    mu = z.mean(axis=0)
+    var = z.var(axis=0)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
+    dxhat = da * gamma
+    dvar = (dxhat * (z - mu)).sum(axis=0) * (-0.5) * inv_std ** 3
+    dmu = (-dxhat * inv_std).sum(axis=0) + dvar * (-2.0 * (z - mu)).sum(axis=0) / n
+    return dxhat * inv_std + dvar * 2.0 * (z - mu) / n + dmu / n
+
+
+@pytest.mark.parametrize("n_rows, width", [(256, 64), (56, 128), (2, 3)])
+def test_closed_form_bn_backward_matches_long_form(n_rows, width):
+    rng = np.random.default_rng(n_rows)
+    for scale in (1e-3, 1.0, 30.0):
+        z = rng.standard_normal((n_rows, width)) * scale + rng.standard_normal(width)
+        da = rng.standard_normal((n_rows, width))
+        gamma = rng.uniform(0.2, 2.0, width)
+        mu, var = z.mean(axis=0), z.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (z - mu) * inv_std
+        expected = long_form_bn_backward(da, z, gamma)
+        dz, dgamma, dbeta = _bn_backward(da.copy(), xhat.copy(), gamma, inv_std)
+        # relative to the leading term: with two rows dz cancels to almost nothing
+        scale = np.abs(da * gamma * inv_std).max()
+        assert np.abs(dz - expected).max() <= 1e-12 * scale
+        assert np.allclose(dgamma, (da * xhat).sum(axis=0), rtol=1e-12, atol=0)
+        assert np.allclose(dbeta, da.sum(axis=0), rtol=1e-12, atol=0)
+
+
+def test_train_mode_bias_gradient_is_exactly_zero():
+    rng = np.random.default_rng(43)
+    net = tiny_net(seed=8)
+    batch = tiny_batch(rng, n_rows=16)
+    cfg = TrainConfig()
+    masks = make_dropout_masks(net, batch.row_count, cfg.dropout_rates, rng)
+    _, grads, _ = loss_and_grads(net, batch, cfg, np.ones(3), mode="train", dropout_masks=masks)
+    for i in range(len(net.hidden)):
+        assert not grads[f"dense{i}:b"].any()
+    _, grads, _ = loss_and_grads(net, batch, cfg, np.ones(3), mode="inference")
+    assert grads["dense0:b"].any()      # inference still differentiates the bias
+
+
+def test_steps_of_two_sizes_give_fresh_net_gradients():
+    # a full batch and the epoch's short last batch use separate workspace
+    # sets; a step must overwrite every buffer it reads, so poisoning the
+    # leftovers with NaN between steps changes nothing
+    rng = np.random.default_rng(44)
+    cfg = TrainConfig()
+    big, small = tiny_batch(rng, n_rows=256), tiny_batch(rng, n_rows=56)
+
+    def grads_of(net, batch, seed):
+        masks = make_dropout_masks(net, batch.row_count, cfg.dropout_rates, np.random.default_rng(seed))
+        _, grads, _ = loss_and_grads(net, batch, cfg, np.ones(3), mode="train", dropout_masks=masks)
+        return {k: v.copy() for k, v in grads.items()}
+
+    reused = tiny_net(seed=9)
+    sequence = []
+    for batch, seed in ((big, 1), (small, 2), (big, 1)):
+        for buf in reused.workspace.values():
+            buf.fill(np.nan)
+        sequence.append(grads_of(reused, batch, seed))
+    fresh = [grads_of(tiny_net(seed=9), big, 1), grads_of(tiny_net(seed=9), small, 2)]
+    assert reused.workspace
+    for got, want in zip(sequence, fresh + fresh[:1]):
+        assert got.keys() == want.keys()
+        for k in want:
+            assert np.array_equal(got[k], want[k]), k
+
+
 # --- adam
 
 def test_adam_single_step_hand_computed():
@@ -213,6 +286,21 @@ def test_adam_single_step_hand_computed():
     expected = 1.0 - 0.1 * m_hat / (math.sqrt(v_hat) + 1e-8)
     assert params["p"][0] == pytest.approx(expected, rel=1e-12)
     assert state.t == 1
+
+
+def test_adam_does_not_write_into_grads():
+    rng = np.random.default_rng(45)
+    net = tiny_net()
+    batch = tiny_batch(rng)
+    cfg = TrainConfig(learning_rate=1e-2)
+    state = AdamState()
+    for _ in range(3):
+        masks = make_dropout_masks(net, batch.row_count, cfg.dropout_rates, rng)
+        _, grads, _ = loss_and_grads(net, batch, cfg, np.ones(3), mode="train", dropout_masks=masks)
+        before = {k: v.copy() for k, v in grads.items()}
+        adam_update(net.params, grads, state, cfg)
+        for k in before:
+            assert np.array_equal(grads[k], before[k]), k
 
 
 def test_zero_learning_rate_leaves_parameters_unchanged():
@@ -346,6 +434,36 @@ def test_train_deterministic_given_seed():
     assert reports[0].best_epoch == reports[1].best_epoch
     for k in params[0]:
         assert np.array_equal(params[0][k], params[1][k])
+
+
+def test_train_leaves_bias_unchanged_and_workspace_empty():
+    rng = np.random.default_rng(46)
+    train_b, val_b = separable_batches(rng, n=200)
+    net = Network(tiny_encoder(), n_classes=2, hidden=(8, 4, 2), seed=4)
+    for i in range(3):
+        net.params[f"dense{i}:b"][:] = rng.standard_normal(net.hidden[i])
+    biases = {k: v.copy() for k, v in net.params.items() if k.endswith(":b") and k.startswith("dense")}
+    report = train(net, train_b, val_b, TrainConfig(learning_rate=1e-2, batch_size=64, max_epochs=4, seed=2))
+    assert report.weights_trained
+    assert net.workspace == {}
+    for k, b in biases.items():
+        assert np.array_equal(net.params[k], b), k
+
+
+def test_train_empties_workspace_on_abort_and_error():
+    rng = np.random.default_rng(47)
+    train_b, val_b = separable_batches(rng, n=100)
+    net = Network(tiny_encoder(), n_classes=2, hidden=(4, 3, 2), seed=1)
+    net.params["dense1:W"][0, 0] = np.nan
+    assert train(net, train_b, val_b, TrainConfig(max_epochs=3)).stop_reason == "nan_abort"
+    assert net.workspace == {}
+
+    net = Network(tiny_encoder(), n_classes=2, hidden=(4, 3, 2), seed=1)
+    bad_val = val_b.take(np.arange(val_b.row_count))
+    bad_val.categorical_indices["framework"][0] = 99      # fails in the first validation forward
+    with pytest.raises(ValueError, match="vocabulary"):
+        train(net, train_b, bad_val, TrainConfig(max_epochs=3))
+    assert net.workspace == {}
 
 
 def test_empty_training_data_rejected():

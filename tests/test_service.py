@@ -1,8 +1,10 @@
 """Artifact persistence, prediction/feedback endpoints and the HTTP layer."""
 
+import http.client
 import json
 import struct
 import threading
+import urllib.parse
 import urllib.request
 import urllib.error
 
@@ -15,6 +17,7 @@ from respred.ingest import SplitSpec, stratified_split
 from respred.nnet import Network, TargetModel, TrainConfig, predict
 from respred.pipeline import fit_all_bins, label_dataset
 from respred.service import (
+    MAX_BODY_BYTES,
     ArtifactVersionError,
     CorruptArtifactError,
     ModelArtifact,
@@ -116,6 +119,67 @@ def test_artifact_version_mismatch(models, tmp_path):
         path.write_bytes(bytes(raw))
         with pytest.raises(ArtifactVersionError):
             load_artifact(path)
+
+
+def rewrite_header(path, edit):
+    """Pass an artifact's JSON header through ``edit``; the weight blocks stay as they are."""
+    raw = path.read_bytes()
+    header_len = struct.unpack("<Q", raw[8:16])[0]
+    header = json.loads(raw[16:16 + header_len])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + header_len:])
+
+
+@pytest.mark.parametrize("keys", [
+    ("encoder",),
+    ("targets",),
+    ("created_at",),
+    ("encoder", "categorical", 0, "embed_dim"),
+    ("targets", "RAMCOUNT", "bins"),
+    ("targets", "RAMCOUNT", "n_classes"),
+    ("targets", "RAMCOUNT", "hidden"),
+    ("targets", "RAMCOUNT", "params"),
+    ("targets", "RAMCOUNT", "params", 0, "offset"),
+])
+def test_artifact_header_missing_key_is_corrupt(models, tmp_path, keys):
+    models, _ = models
+    path = tmp_path / "h.rpa"
+    save_artifact(models, path)
+
+    def drop(header):
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+
+    rewrite_header(path, drop)
+    with pytest.raises(CorruptArtifactError, match=keys[-1] if isinstance(keys[-1], str) else ""):
+        load_artifact(path)
+
+
+def test_artifact_missing_tensor_is_corrupt(models, tmp_path):
+    # without the check the head would serve its random initial weights
+    models, _ = models
+    path = tmp_path / "m.rpa"
+    save_artifact(models, path)
+    rewrite_header(path, lambda header: header["targets"]["RAMCOUNT"]["params"].pop(0))
+    with pytest.raises(CorruptArtifactError, match="dense0:W"):
+        load_artifact(path)
+
+
+def test_cli_reports_malformed_header_in_one_line(models, tmp_path, capsys):
+    from respred.cli import main
+
+    models, synth = models
+    path = tmp_path / "c.rpa"
+    save_artifact(models, path)
+    rewrite_header(path, lambda header: header.pop("encoder"))
+    features = json.dumps({k: v for k, v in sample_request(synth.dataset.records[0]).items()
+                           if k != "TASK_ID"})
+    assert main(["predict", "--artifact", str(path), "--features", features]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "encoder" in err
 
 
 def test_artifact_requires_one_shared_encoder(models, tmp_path):
@@ -380,6 +444,42 @@ def test_feedback_log_replays_without_artifact(models, tmp_path):
     assert replayed == svc.metrics_summary()
 
 
+def test_feedback_log_replay_keeps_known_tasks(models, tmp_path):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    log_path = tmp_path / "fb.jsonl"
+    svc = PredictionService(artifact, feedback_log=log_path)
+    record = synth.dataset.records[0]
+    response = svc.predict(sample_request(record))
+    svc.feedback({
+        "task_id": record.task_id,
+        "predicted_classes": {t: response["predictions"][t]["class"] for t in TARGETS},
+        "actual_targets": actual_targets_for(synth, 0),
+    })
+    assert svc.metrics_summary()["n_unknown_task"] == 0
+    restarted = PredictionService(artifact, feedback_log=log_path)
+    assert restarted.metrics_summary()["n_unknown_task"] == 0
+    assert restarted.metrics_summary() == svc.metrics_summary()
+
+
+def test_feedback_log_lines_without_known_task_replay_as_unknown(models, tmp_path):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    log_path = tmp_path / "fb.jsonl"
+    svc = PredictionService(artifact, feedback_log=log_path)
+    record = synth.dataset.records[0]
+    response = svc.predict(sample_request(record))
+    svc.feedback({
+        "task_id": record.task_id,
+        "predicted_classes": {t: response["predictions"][t]["class"] for t in TARGETS},
+        "actual_targets": actual_targets_for(synth, 0),
+    })
+    entry = json.loads(log_path.read_text())
+    assert entry.pop("known_task") is True
+    log_path.write_text(json.dumps(entry) + "\n")
+    assert PredictionService(None, feedback_log=log_path).metrics_summary()["n_unknown_task"] == 1
+
+
 # --- http layer
 
 def http_json(url, payload=None):
@@ -454,6 +554,46 @@ def test_http_never_sends_nan(server, monkeypatch):
     status, body = http_json(base + "/predict", sample_request(synth.dataset.records[0]))
     assert status == 500
     assert "error" in body
+
+
+def post_with_length(base, content_length, body=b""):
+    """POST /predict with a hand-set Content-Length header; returns (status, document)."""
+    url = urllib.parse.urlsplit(base)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        conn.putrequest("POST", "/predict")
+        conn.putheader("Content-Type", "application/json")
+        conn.putheader("Content-Length", content_length)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, json.loads(resp.read().decode())
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-5", "1.5", "0x10", ""])
+def test_http_bad_content_length_is_400(server, content_length):
+    base, _, _ = server
+    status, doc = post_with_length(base, content_length, b"{}")
+    assert status == 400
+    assert doc["field"] == "Content-Length"
+
+
+def test_http_oversized_body_is_413_before_reading(server):
+    # no body follows the header: a server that tried to read it would time out
+    base, _, _ = server
+    for declared in (MAX_BODY_BYTES + 1, 10**18):
+        status, doc = post_with_length(base, str(declared))
+        assert status == 413
+        assert doc["field"] == "Content-Length"
+
+
+def test_http_body_at_cap_is_read(server):
+    base, _, synth = server
+    body = json.dumps(sample_request(synth.dataset.records[0])).encode()
+    body += b" " * (MAX_BODY_BYTES - len(body))
+    status, doc = post_with_length(base, str(MAX_BODY_BYTES), body)
+    assert status == 200 and set(doc["predictions"]) == set(TARGETS)
 
 
 def test_http_unknown_path(server):
