@@ -29,7 +29,7 @@ def _write_targets_csv(path: Path, rows: list[list]) -> None:
 
 
 def _read_targets_csv(path: Path) -> dict[str, dict[str, float]]:
-    """TASK_ID -> {target: value}."""
+    """TASK_ID -> {target: value}; a missing, non-numeric or non-finite value is a SchemaError."""
     out: dict[str, dict[str, float]] = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
@@ -37,7 +37,10 @@ def _read_targets_csv(path: Path) -> dict[str, dict[str, float]]:
         if missing:
             raise ingest.SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
-            out[row["TASK_ID"]] = {t: float(row[t]) for t in TARGET_NAMES}
+            try:
+                out[row["TASK_ID"]] = {t: ingest._parse_float(row[t], t) for t in TARGET_NAMES}
+            except ValueError as exc:
+                raise ingest.SchemaError(f"{path} line {reader.line_num}: {exc}") from None
     return out
 
 

@@ -91,14 +91,13 @@ def fit_bins(
     values: Sequence[float],
     target_name: str,
     n_classes: Optional[int] = None,
-    top_cap: Optional[float] = None,
 ) -> BinSpec:
     """Fit quantile bin edges at k/n_classes for k = 1..n_classes-1.
 
     Raises BinningError when the sample has fewer distinct values than
     classes, or when ties collapse quantile edges (the message reports how
-    many classes the sample can support). ``top_cap`` sets the allocation
-    value of the open top bin; it defaults to the sample maximum.
+    many classes the sample can support). The allocation value of the open
+    top bin is the sample maximum.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
@@ -124,10 +123,7 @@ def fit_bins(
             f"only {collapsed.size + 1} of {n_classes} classes achievable"
         )
 
-    cap = float(arr.max()) if top_cap is None else float(top_cap)
-    if cap < edges[-1]:
-        raise ValueError("top_cap must be >= the highest edge")
-    allocation = tuple(float(e) for e in edges) + (cap,)
+    allocation = tuple(float(e) for e in edges) + (float(arr.max()),)
     return BinSpec(
         target_name=target_name,
         edges=tuple(float(e) for e in edges),

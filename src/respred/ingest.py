@@ -48,7 +48,7 @@ NUMERIC_FEATURES = ("core_count", "n_input", "n_files", "n_events")
 
 
 class SchemaError(ValueError):
-    """The file is missing a mandatory column."""
+    """The file is missing a mandatory column, or an all-or-nothing file holds a bad value."""
 
 
 @dataclass(frozen=True)
@@ -199,25 +199,17 @@ def _parse_float(raw: Optional[str], column: str) -> float:
     return value
 
 
-def parse_task_csv(
-    path: str | Path,
-    schema: Optional[Mapping[str, str]] = None,
-) -> Dataset:
+def parse_task_csv(path: str | Path) -> Dataset:
     """Parse a task CSV into a Dataset, collecting malformed rows in the report.
 
-    ``schema`` overrides the default column names (logical name -> CSV
-    column). Class-label columns are read when present.
+    Class-label columns are read when present.
     """
     path = Path(path)
-    columns = dict(TASK_COLUMNS)
-    if schema:
-        columns.update(schema)
-
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise SchemaError(f"{path}: empty file, header row required")
-        _require_columns(reader.fieldnames, columns, path)
+        _require_columns(reader.fieldnames, TASK_COLUMNS, path)
         present_class_cols = {
             target: col for target, col in CLASS_COLUMNS.items()
             if col in reader.fieldnames
@@ -232,13 +224,13 @@ def parse_task_csv(
             report.n_rows += 1
             try:
                 record = TaskRecord(
-                    task_id=(row[columns["task_id"]] or "").strip(),
-                    processing_type=(row[columns["processing_type"]] or "").strip(),
-                    framework=(row[columns["framework"]] or "").strip(),
-                    core_count=_parse_int(row[columns["core_count"]], columns["core_count"]),
-                    n_input=_parse_int(row[columns["n_input"]], columns["n_input"]),
-                    n_files=_parse_int(row[columns["n_files"]], columns["n_files"]),
-                    n_events=_parse_int(row[columns["n_events"]], columns["n_events"]),
+                    task_id=(row["TASK_ID"] or "").strip(),
+                    processing_type=(row["PROCESSINGTYPE"] or "").strip(),
+                    framework=(row["FRAMEWORK"] or "").strip(),
+                    core_count=_parse_int(row["NCORE"], "NCORE"),
+                    n_input=_parse_int(row["NINPUT"], "NINPUT"),
+                    n_files=_parse_int(row["NFILES"], "NFILES"),
+                    n_events=_parse_int(row["NEVENTS"], "NEVENTS"),
                 )
                 row_labels = {
                     t: (_parse_int(row[col], col) if row[col] not in ("", None) else -1)
@@ -404,26 +396,19 @@ def stratified_split(dataset: Dataset, spec: SplitSpec) -> SplitResult:
         spec.test_fraction,
     )
 
-    class_counts = {int(c): int((labels == c).sum()) for c in np.unique(labels)}
-    fallback = any(count < 3 for count in class_counts.values())
+    classes, class_counts = np.unique(labels, return_counts=True)
+    fallback = bool((class_counts < 3).any())
+    # the random fallback is the same loop over one stratum holding every record
+    strata = [order] if fallback else [[i for i in order if labels[i] == c] for c in classes]
 
     splits: tuple[list[int], list[int], list[int]] = ([], [], [])
-    if fallback:
-        shuffled = [order[i] for i in rng.permutation(len(order))]
-        counts = _allocate(len(shuffled), fractions)
+    for members in strata:
+        members = [members[i] for i in rng.permutation(len(members))]
+        counts = _allocate(len(members), fractions)
         start = 0
         for bucket, count in zip(splits, counts):
-            bucket.extend(shuffled[start:start + count])
+            bucket.extend(members[start:start + count])
             start += count
-    else:
-        for c in sorted(class_counts):
-            members = [i for i in order if labels[i] == c]
-            members = [members[i] for i in rng.permutation(len(members))]
-            counts = _allocate(len(members), fractions)
-            start = 0
-            for bucket, count in zip(splits, counts):
-                bucket.extend(members[start:start + count])
-                start += count
 
     train_idx, val_idx, test_idx = (sorted(s) for s in splits)
     return SplitResult(

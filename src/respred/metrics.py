@@ -1,10 +1,13 @@
 """Evaluation metrics: per-class PRF, micro-averaged ROC/PR AUC, pipeline accuracy.
 
-AUCs flatten the (sample, class) pairs one-vs-rest. ROC ties earn half
-credit, which makes the rank formulation agree exactly with trapezoidal
-integration. PR area uses the step-wise sum over recall increments (no
-interpolation). Pipeline metrics treat the four heads jointly: exact-match
-accuracy, at-least-k partial accuracy, and the mean of per-model accuracies.
+AUCs flatten the (sample, class) pairs one-vs-rest. Both curves and both
+areas come from one threshold sweep: a single descending sort and the
+cumulative true/false positive counts at the end of each tie group. ROC
+area is the trapezoid under the ROC points, so a tie group is one straight
+segment and ties earn half credit. PR area is the step-wise sum over recall
+increments (no interpolation). Pipeline metrics treat the four heads
+jointly: exact-match accuracy, at-least-k partial accuracy, and the mean of
+per-model accuracies.
 """
 
 from __future__ import annotations
@@ -120,83 +123,56 @@ def _flatten_ovr(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     return probs.ravel(), onehot.ravel()
 
 
-def roc_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
-    """Micro-average ROC AUC over the flattened one-vs-rest expansion.
+def _threshold_sweep(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative (true, false) positive counts at each threshold, highest first.
 
-    Computed as the Mann-Whitney statistic with average ranks, i.e. the
-    probability that a random positive outscores a random negative, ties
-    counting one half.
+    One stable descending sort of the one-vs-rest scores. A threshold sits at
+    the last index of each tie group, so a tie group is one step of both
+    curves. Index 0 is the threshold above every score, (0, 0); the last
+    entries are the positive and negative totals.
     """
     scores, positive = _flatten_ovr(probs, labels)
-    n_pos = positive.sum()
-    n_neg = len(positive) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("need at least one positive and one negative pair")
+    order = np.argsort(-scores, kind="mergesort")
+    scores = scores[order]
+    # a tie group ends where the next score differs, and the last score ends one
+    ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], len(scores) > 0))
+    tp = np.concatenate([[0.0], np.cumsum(positive[order])[ends]])
+    fp = np.concatenate([[0.0], ends + 1.0]) - tp
+    return tp, fp
 
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(sorted_scores):
-        j = i
-        while j + 1 < len(sorted_scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0   # average rank, 1-based
-        i = j + 1
-    rank_sum = ranks[positive == 1.0].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+def roc_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
+    """Micro-average ROC AUC: the trapezoid area under the ROC points.
+
+    The probability that a random positive outscores a random negative,
+    ties counting one half. The trapezoids are summed in counts, which is
+    exact, so the one division is the only rounding.
+    """
+    tp, fp = _threshold_sweep(probs, labels)
+    if tp[-1] == 0 or fp[-1] == 0:
+        raise ValueError("need at least one positive and one negative pair")
+    return float(np.trapezoid(tp, fp) / (tp[-1] * fp[-1]))
 
 
 def pr_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
     """Micro-average PR AUC: sum of (R_i - R_{i-1}) * P_i over score thresholds."""
-    scores, positive = _flatten_ovr(probs, labels)
-    n_pos = positive.sum()
-    if n_pos == 0:
+    tp, fp = _threshold_sweep(probs, labels)
+    if tp[-1] == 0:
         raise ValueError("need at least one positive pair")
-
-    order = np.argsort(-scores, kind="mergesort")
-    scores = scores[order]
-    positive = positive[order]
-
-    tp = np.cumsum(positive)
-    pred_pos = np.arange(1, len(scores) + 1)
-    # thresholds sit at the last index of each tie group
-    boundary = np.append(scores[1:] != scores[:-1], True)
-    precision = tp[boundary] / pred_pos[boundary]
-    recall = tp[boundary] / n_pos
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev_recall) * precision).sum())
+    return float((np.diff(tp / tp[-1]) * (tp[1:] / (tp[1:] + fp[1:]))).sum())
 
 
 def roc_curve_points(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(fpr, tpr) points of the micro-average ROC curve, for plotting."""
-    scores, positive = _flatten_ovr(probs, labels)
-    n_pos = positive.sum()
-    n_neg = len(positive) - n_pos
-    order = np.argsort(-scores, kind="mergesort")
-    positive = positive[order]
-    scores = scores[order]
-    tp = np.cumsum(positive)
-    fp = np.cumsum(1.0 - positive)
-    boundary = np.append(scores[1:] != scores[:-1], True)
-    tpr = np.concatenate([[0.0], tp[boundary] / n_pos])
-    fpr = np.concatenate([[0.0], fp[boundary] / n_neg])
-    return np.column_stack([fpr, tpr])
+    tp, fp = _threshold_sweep(probs, labels)
+    return np.column_stack([fp / fp[-1], tp / tp[-1]])
 
 
 def pr_curve_points(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(recall, precision) points of the micro-average PR curve."""
-    scores, positive = _flatten_ovr(probs, labels)
-    n_pos = positive.sum()
-    order = np.argsort(-scores, kind="mergesort")
-    positive = positive[order]
-    scores = scores[order]
-    tp = np.cumsum(positive)
-    pred_pos = np.arange(1, len(scores) + 1)
-    boundary = np.append(scores[1:] != scores[:-1], True)
-    precision = np.concatenate([[1.0], tp[boundary] / pred_pos[boundary]])
-    recall = np.concatenate([[0.0], tp[boundary] / n_pos])
-    return np.column_stack([recall, precision])
+    """(recall, precision) points of the micro-average PR curve; precision starts at 1."""
+    tp, fp = _threshold_sweep(probs, labels)
+    precision = np.concatenate([[1.0], tp[1:] / (tp[1:] + fp[1:])])
+    return np.column_stack([tp / tp[-1], precision])
 
 
 @dataclass

@@ -62,7 +62,6 @@ class TrainConfig:
     patience: int = 4
     max_epochs: int = 200
     bn_momentum: float = 0.99
-    class_weights: Optional[tuple[float, ...]] = None   # None -> inverse frequency
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -97,7 +96,6 @@ class Network:
         self.input_width = encoder.input_width
         self.hidden = tuple(hidden)
         self.n_classes = n_classes
-        self.mode = "inference"
 
         rng = np.random.default_rng(seed)
         self.params: dict[str, np.ndarray] = {}
@@ -142,9 +140,6 @@ class Network:
             self.params[k] = state[k].copy()
         for k in self.running:
             self.running[k] = state[f"running/{k}"].copy()
-
-    def check_finite(self) -> bool:
-        return all(np.isfinite(v).all() for v in self.params.values())
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """The workspace array for (name, shape); its contents are left over from the last use."""
@@ -275,21 +270,16 @@ def _forward_cached(
 def forward(
     net: Network,
     batch: EncodedBatch,
-    mode: Optional[str] = None,
-    dropout_rng: Optional[np.random.Generator] = None,
+    mode: str = "inference",
     dropout_masks: Optional[list[np.ndarray]] = None,
-    dropout_rates: tuple[float, ...] = (0.40, 0.30, 0.30),
 ) -> np.ndarray:
     """Class-probability matrix (rows sum to 1); binary nets emit [1-p, p].
 
-    Train mode applies dropout (masks drawn from dropout_rng unless given
-    explicitly) and normalizes with batch statistics; inference mode uses
-    running statistics and no dropout; "mc" mode keeps running statistics
-    but samples dropout.
+    Inference mode uses running statistics and no dropout. Train mode
+    normalizes with batch statistics; "mc" mode keeps running statistics.
+    Both apply the given dropout masks (from make_dropout_masks), and
+    neither drops anything without them.
     """
-    mode = mode or net.mode
-    if mode in ("train", "mc") and dropout_masks is None and dropout_rng is not None:
-        dropout_masks = make_dropout_masks(net, batch.row_count, dropout_rates, dropout_rng)
     probs, _ = _forward_cached(net, batch, mode, dropout_masks)
     return probs
 
@@ -537,12 +527,6 @@ class TrainReport:
         }
 
 
-def accuracy(net: Network, batch: EncodedBatch) -> float:
-    """Plain accuracy in inference mode (argmax, lowest index wins ties)."""
-    probs = forward(net, batch, mode="inference")
-    return float((probs.argmax(axis=1) == batch.labels).mean())
-
-
 def train(
     net: Network,
     train_batch: EncodedBatch,
@@ -562,11 +546,7 @@ def train(
     if train_batch.labels is None or val_batch.labels is None:
         raise ValueError("training and validation batches need labels")
 
-    weights = (
-        np.asarray(cfg.class_weights, dtype=float)
-        if cfg.class_weights is not None
-        else class_weight_vector(train_batch.labels, net.n_classes)
-    )
+    weights = class_weight_vector(train_batch.labels, net.n_classes)
 
     rng = np.random.default_rng(cfg.seed)
     adam_state = AdamState()

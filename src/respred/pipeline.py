@@ -11,7 +11,7 @@ held out from all four heads, and the saved artifact carries one encoder.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -32,16 +32,9 @@ from .metrics import (
 from .nnet import Network, TargetModel, TrainConfig, TrainReport, forward, predict, train
 
 
-def fit_all_bins(
-    target_values: Mapping[str, np.ndarray],
-    top_caps: Optional[Mapping[str, float]] = None,
-) -> dict[str, BinSpec]:
+def fit_all_bins(target_values: Mapping[str, np.ndarray]) -> dict[str, BinSpec]:
     """Quantile bins per target at the registry's class counts."""
-    bins = {}
-    for name in TARGET_NAMES:
-        cap = None if top_caps is None else top_caps.get(name)
-        bins[name] = fit_bins(target_values[name], name, top_cap=cap)
-    return bins
+    return {name: fit_bins(target_values[name], name) for name in TARGET_NAMES}
 
 
 def label_dataset(
@@ -115,11 +108,9 @@ def train_all(
     cfg: TrainConfig,
     hidden: tuple[int, ...] = (256, 128, 64),
     split_seed: int = 0,
-    bins: Optional[Mapping[str, BinSpec]] = None,
 ) -> tuple[dict[str, TargetModel], dict[str, TrainedTarget]]:
     """Fit bins, split and encode once, then train the four heads with per-target seeds."""
-    if bins is None:
-        bins = fit_all_bins(target_values)
+    bins = fit_all_bins(target_values)
     labeled = label_dataset(dataset, target_values, bins)
     split = stratified_split(labeled, SplitSpec(seed=split_seed))
     encoder = fit_encoder(split.train)

@@ -6,9 +6,11 @@ block offsets) and raw little-endian float64 weight blocks, so a save/load
 round-trip is bit-identical regardless of platform defaults. The service
 exposes POST /predict, POST /feedback, GET /health and GET /metrics-summary
 over plain HTTP/JSON; a request body over MAX_BODY_BYTES is refused with 413
-before it is read. Feedback is appended to a JSONL log, each line marked with
-whether its task was predicted by this process, and folded into per-target
-agreement counters; a restarted service replays the log into its counters.
+before it is read, and one that falls short of its Content-Length for
+READ_TIMEOUT_S gets a 408 and a closed connection. Feedback is appended to
+a JSONL log, each line marked with whether its task was predicted by this
+process, and folded into per-target agreement counters; a restarted service
+replays the log into its counters.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ REQUEST_FEATURES = ("PROCESSINGTYPE", "FRAMEWORK", "NCORE", "NINPUT", "NFILES", 
 BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
 MAX_BODY_BYTES = 1 << 20     # a request body is a few hundred bytes
+READ_TIMEOUT_S = 10.0        # socket timeout per request; a body cut short gets a 408
 
 
 class CorruptArtifactError(ValueError):
@@ -63,6 +66,10 @@ class ValidationError(ValueError):
 
 class BodyTooLargeError(ValidationError):
     """The declared request body exceeds MAX_BODY_BYTES."""
+
+
+class BodyTimeoutError(ValidationError):
+    """The request body stayed shorter than its Content-Length for READ_TIMEOUT_S."""
 
 
 # --- spec <-> json ----------------------------------------------------------
@@ -357,8 +364,7 @@ class PredictionService:
     """Holds the servable artifact, the feedback log and its counters.
 
     Inference over the loaded artifact is read-only, so concurrent predict
-    calls are safe; feedback appends are serialized by a lock. The artifact
-    can be hot-swapped between requests.
+    calls are safe; feedback appends are serialized by a lock.
     """
 
     def __init__(self, artifact: Optional[ModelArtifact], feedback_log: Optional[str | Path] = None) -> None:
@@ -375,10 +381,6 @@ class PredictionService:
         for line in self.feedback_log.read_text().splitlines():
             if line.strip():
                 self._apply_feedback(json.loads(line), append=False)
-
-    def swap_artifact(self, artifact: ModelArtifact) -> None:
-        with self._lock:
-            self.artifact = artifact
 
     def predict(self, doc: Mapping) -> dict:
         artifact = self.artifact
@@ -430,6 +432,7 @@ class PredictionService:
 
 class _Handler(BaseHTTPRequestHandler):
     service: PredictionService   # set by make_server
+    timeout = READ_TIMEOUT_S     # applied to the connection's socket by StreamRequestHandler.setup
 
     def _send(self, code: int, payload: dict) -> None:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
@@ -451,7 +454,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise BodyTooLargeError(
                 f"request body of {length} bytes exceeds {MAX_BODY_BYTES}", field_name="Content-Length"
             )
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise BodyTimeoutError(
+                f"request body shorter than its Content-Length of {length} bytes after {self.timeout} s",
+                field_name="Content-Length",
+            ) from None
         try:
             doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -480,6 +489,9 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send(404, {"error": f"unknown path {self.path}"})
         except BodyTooLargeError as exc:
             self._send(413, {"error": str(exc), "field": exc.field})
+        except BodyTimeoutError as exc:
+            self.close_connection = True     # the rest of the body may still arrive
+            self._send(408, {"error": str(exc), "field": exc.field})
         except ValidationError as exc:
             self._send(400, {"error": str(exc), "field": exc.field})
         except NotServableError as exc:

@@ -234,7 +234,6 @@ class SimConfig:
 
     scout_wait_sigma: float = 2.25
     scout_wait_mean_hours: float = 7.0
-    scout_fraction: float = 0.08
     ml_latency: float = 0.5            # seconds per decision
     fail_fraction: float = 0.5         # fraction of exec time lost to a RAM failure
     jobs_per_task_mu: float = math.log(12.0)
@@ -246,8 +245,6 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.ml_latency < 0:
             raise ValueError("ml_latency must be non-negative")
-        if not 0.0 < self.scout_fraction < 1.0:
-            raise ValueError("scout_fraction must lie in (0, 1)")
 
     @property
     def scout_wait_mu(self) -> float:

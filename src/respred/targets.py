@@ -116,9 +116,9 @@ def derive_walltime(cpu_time: float, n_events: float, cfg: ResourceConfig) -> fl
 
 
 def _percentile(values: Sequence[float], q: float) -> float:
-    # linear interpolation between closest ranks; sort first so the
-    # aggregation is independent of scout ordering
-    return float(np.percentile(np.sort(np.asarray(values, dtype=float)), q))
+    # linear interpolation between closest ranks; np.percentile partitions a copy,
+    # so the aggregation is independent of scout ordering
+    return float(np.percentile(np.asarray(values, dtype=float), q))
 
 
 def cpu_filter_passes(job: JobProfile) -> bool:

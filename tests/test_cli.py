@@ -47,6 +47,24 @@ def test_missing_input_file_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf"])
+def test_train_bad_target_value_exits_2_naming_row_and_column(workdir, tmp_path, capsys, bad):
+    lines = (workdir / "targets.csv").read_text().splitlines()
+    header = lines[0].split(",")
+    row = lines[3].split(",")
+    row[header.index("RAMCOUNT")] = bad
+    lines[3] = ",".join(row)
+    targets = tmp_path / "targets.csv"
+    targets.write_text("\n".join(lines) + "\n")
+    code = main([
+        "train", "--data", str(workdir / "tasks.csv"), "--targets", str(targets),
+        "--out", str(tmp_path / "artifact.rpa"), "--max-epochs", "1", "--hidden", "4,3,2",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert str(targets) in err and "line 4" in err and "RAMCOUNT" in err and repr(bad) in err
+
+
 def test_evaluate_writes_reports(workdir, capsys):
     report_path = workdir / "report.json"
     curves = workdir / "curves"

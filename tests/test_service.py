@@ -2,6 +2,7 @@
 
 import http.client
 import json
+import socket
 import struct
 import threading
 import urllib.parse
@@ -11,6 +12,7 @@ import urllib.error
 import numpy as np
 import pytest
 
+from respred import service
 from respred.discretize import assign_class
 from respred.encode import fit_encoder
 from respred.ingest import SplitSpec, stratified_split
@@ -594,6 +596,22 @@ def test_http_body_at_cap_is_read(server):
     body += b" " * (MAX_BODY_BYTES - len(body))
     status, doc = post_with_length(base, str(MAX_BODY_BYTES), body)
     assert status == 200 and set(doc["predictions"]) == set(TARGETS)
+
+
+def test_http_short_body_is_408_and_closes(server, monkeypatch):
+    # the client's own timeout fails the test if the server never answers or never closes
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    base, _, _ = server
+    url = urllib.parse.urlsplit(base)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(b"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: 100\r\n\r\n{\"a\": 1")
+        raw = b""
+        while chunk := sock.recv(4096):   # b"" once the server has closed the connection
+            raw += chunk
+    head, _, body = raw.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n")[0].split()[1] == b"408"
+    assert json.loads(body.decode())["field"] == "Content-Length"
 
 
 def test_http_unknown_path(server):
