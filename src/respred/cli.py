@@ -14,11 +14,12 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, pipeline, service, simsynth
-from .discretize import TARGET_NAMES, classes_to_resource_classes
+from .discretize import TARGET_NAMES, TARGET_REGISTRY, classes_to_resource_classes
 from .nnet import TrainConfig, predict
 from .targets import ResourceConfig, aggregate_scouts
 
-TARGETS_CSV_HEADER = ["TASK_ID", *TARGET_NAMES, "N_SCOUTS", "CPU_FILTER_FALLBACK"]
+TASK_ID = ingest.TASK_COLUMNS["task_id"]
+TARGETS_CSV_HEADER = [TASK_ID, *TARGET_NAMES, "N_SCOUTS", "CPU_FILTER_FALLBACK"]
 
 
 def _write_targets_csv(path: Path, rows: list[list]) -> None:
@@ -38,7 +39,7 @@ def _read_targets_csv(path: Path) -> dict[str, dict[str, float]]:
             raise ingest.SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
             try:
-                out[row["TASK_ID"]] = {t: ingest._parse_float(row[t], t) for t in TARGET_NAMES}
+                out[row[TASK_ID]] = {t: ingest._parse_float(row[t], t) for t in TARGET_NAMES}
             except ValueError as exc:
                 raise ingest.SchemaError(f"{path} line {reader.line_num}: {exc}") from None
     return out
@@ -81,10 +82,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
     if report.n_rejected:
         print(f"warning: rejected {report.n_rejected}/{report.n_rows} job rows", file=sys.stderr)
     cfg = ResourceConfig(margin=args.margin, min_ram_count=args.min_ram)
-    by_task: dict[str, list] = {}
-    for job in jobs:
-        by_task.setdefault(job.task_id, []).append(job)
-
+    by_task = ingest.group_by_task(jobs)
     rows = []
     skipped = 0
     for task_id in sorted(by_task):
@@ -95,9 +93,8 @@ def cmd_derive(args: argparse.Namespace) -> int:
             skipped += 1
             continue
         agg = aggregate_scouts(usable, cfg)
-        t = agg.targets
-        rows.append([task_id, repr(t.ram_count), repr(t.cpu_time), repr(t.io_intensity),
-                     repr(t.walltime), agg.n_scouts, int(agg.cpu_fallback_all)])
+        values = [repr(getattr(agg.targets, f)) for _, _, f in TARGET_REGISTRY.values()]
+        rows.append([task_id, *values, agg.n_scouts, int(agg.cpu_fallback_all)])
     _write_targets_csv(Path(args.out), rows)
     print(f"derived targets for {len(rows)} tasks ({skipped} skipped) -> {args.out}")
     return 0
@@ -164,7 +161,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     classes, _ = predict(artifact.models, dataset.records)
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["TASK_ID"] + [ingest.CLASS_COLUMNS[t] for t in TARGET_NAMES])
+        writer.writerow([TASK_ID] + [ingest.CLASS_COLUMNS[t] for t in TARGET_NAMES])
         for rec, cls in zip(dataset.records, classes):
             d = cls.as_dict()
             writer.writerow([rec.task_id] + [d[t] for t in TARGET_NAMES])
@@ -175,12 +172,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def _broker_inputs(args: argparse.Namespace, artifact) -> simsynth.BrokerInputs:
     bins = {t: artifact.models[t].bins for t in TARGET_NAMES}
     labeled, values = _load_labeled(args.data, args.targets, bins)
-    jobs_by_task = None
-    if args.jobs:
-        jobs, _ = ingest.parse_job_csv(args.jobs)
-        jobs_by_task = {}
-        for job in jobs:
-            jobs_by_task.setdefault(job.task_id, []).append(job)
+    jobs_by_task = ingest.group_by_task(ingest.parse_job_csv(args.jobs)[0]) if args.jobs else None
     true_classes = classes_to_resource_classes({t: labeled.labels[t] for t in TARGET_NAMES})
     return simsynth.BrokerInputs(
         records=labeled.records,

@@ -14,16 +14,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# The four targets: name -> (class count, ResourceClasses field). Every other
-# list of targets in the package is derived from this one.
+# The four targets: name -> (class count, ResourceClasses field, ResourceTargets
+# field). Every other list of targets in the package is derived from this one.
 TARGET_REGISTRY = {
-    "RAMCOUNT": (4, "ram_class"),
-    "CPUTIME": (5, "cpu_class"),
-    "IOINTENSITY": (2, "io_class"),
-    "WALLTIME": (5, "wall_class"),
+    "RAMCOUNT": (4, "ram_class", "ram_count"),
+    "CPUTIME": (5, "cpu_class", "cpu_time"),
+    "IOINTENSITY": (2, "io_class", "io_intensity"),
+    "WALLTIME": (5, "wall_class", "walltime"),
 }
 TARGET_NAMES = tuple(TARGET_REGISTRY)
-TARGET_CLASS_COUNTS = {name: k for name, (k, _) in TARGET_REGISTRY.items()}
+TARGET_CLASS_COUNTS = {name: k for name, (k, _, _) in TARGET_REGISTRY.items()}
 
 
 class BinningError(ValueError):
@@ -75,16 +75,16 @@ class ResourceClasses:
     wall_class: int
 
     def __post_init__(self) -> None:
-        for limit, name in TARGET_REGISTRY.values():
+        for limit, name, _ in TARGET_REGISTRY.values():
             if not 0 <= getattr(self, name) < limit:
                 raise ValueError(f"{name} must lie in [0, {limit})")
 
     def as_dict(self) -> dict[str, int]:
-        return {target: getattr(self, name) for target, (_, name) in TARGET_REGISTRY.items()}
+        return {target: getattr(self, name) for target, (_, name, _) in TARGET_REGISTRY.items()}
 
     @classmethod
     def from_dict(cls, classes: dict[str, int]) -> "ResourceClasses":
-        return cls(**{name: int(classes[target]) for target, (_, name) in TARGET_REGISTRY.items()})
+        return cls(**{name: int(classes[target]) for target, (_, name, _) in TARGET_REGISTRY.items()})
 
 
 def fit_bins(
@@ -178,6 +178,6 @@ def classes_to_resource_classes(per_target: dict[str, np.ndarray]) -> list[Resou
     lengths = {len(v) for v in per_target.values()}
     if len(lengths) != 1:
         raise ValueError("per-target class arrays must share length")
-    names = [name for _, name in TARGET_REGISTRY.values()]
+    names = [name for _, name, _ in TARGET_REGISTRY.values()]
     columns = [np.asarray(per_target[target]).tolist() for target in TARGET_REGISTRY]
     return [ResourceClasses(**dict(zip(names, row))) for row in zip(*columns)]

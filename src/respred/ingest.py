@@ -9,9 +9,10 @@ silently dropped, so operational exports with a few bad lines still load.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import ClassVar, Iterator, Mapping, Optional, Sequence, get_type_hints
 
 import numpy as np
 
@@ -20,6 +21,9 @@ from .discretize import TARGET_NAMES
 UNKNOWN_INDEX = 0
 UNKNOWN_TOKEN = "<UNK>"
 
+# Each record format is its column table (record field -> CSV column, in
+# field order) plus the field types of its dataclass; the CSV readers and
+# writers here and the /predict request in ``service`` are driven by them.
 TASK_COLUMNS = {
     "task_id": "TASK_ID",
     "processing_type": "PROCESSINGTYPE",
@@ -42,9 +46,6 @@ JOB_COLUMNS = {
     "core_count": "CORECOUNT",
     "is_scout": "IS_SCOUT",
 }
-
-CATEGORICAL_FEATURES = ("processing_type", "framework")
-NUMERIC_FEATURES = ("core_count", "n_input", "n_files", "n_events")
 
 
 class SchemaError(ValueError):
@@ -73,6 +74,12 @@ class TaskRecord:
         if self.n_input > 0 and self.n_files < self.n_input:
             return "n_files must be >= n_input when n_input > 0"
         return None
+
+
+# the model inputs: the string features other than the id, then the integer ones
+_TASK_TYPES = get_type_hints(TaskRecord)
+CATEGORICAL_FEATURES = tuple(f for f in TASK_COLUMNS if _TASK_TYPES[f] is str and f != "task_id")
+NUMERIC_FEATURES = tuple(f for f in TASK_COLUMNS if _TASK_TYPES[f] is int)
 
 
 @dataclass(frozen=True)
@@ -169,12 +176,6 @@ def build_vocabularies(records: Sequence[TaskRecord]) -> dict[str, dict[str, int
     return vocabs
 
 
-def _require_columns(header: Sequence[str], wanted: Mapping[str, str], path: Path) -> None:
-    missing = [col for col in wanted.values() if col not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing mandatory column(s) {', '.join(missing)}")
-
-
 def _parse_int(raw: Optional[str], column: str) -> int:
     if raw is None or raw.strip() == "":
         raise ValueError(f"missing value in column {column}")
@@ -182,7 +183,7 @@ def _parse_int(raw: Optional[str], column: str) -> int:
         value = float(raw)
     except ValueError:
         raise ValueError(f"non-numeric value {raw!r} in column {column}") from None
-    if not np.isfinite(value) or value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ValueError(f"non-numeric value {raw!r} in column {column} (integer expected)")
     return int(value)
 
@@ -194,142 +195,137 @@ def _parse_float(raw: Optional[str], column: str) -> float:
         value = float(raw)
     except ValueError:
         raise ValueError(f"non-numeric value {raw!r} in column {column}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite value {raw!r} in column {column}")
     return value
+
+
+# how a CSV value becomes a field value, by the field's type
+_PARSERS = {
+    str: lambda raw, column: (raw or "").strip(),
+    int: _parse_int,
+    float: _parse_float,
+    bool: lambda raw, column: (raw or "").strip().lower() in ("1", "true", "yes"),
+}
+# how a field value is written; other types are written as they are
+_FORMATS = {float: lambda v: repr(float(v)), bool: int}
+
+
+def _read_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
+              label_columns: Mapping[str, str]) -> Iterator[tuple]:
+    """The rows of a CSV as ``record_type`` records, each value parsed by its field type.
+
+    Yields first the label columns the header has (the labels are read from
+    these, in order) and the report, then each row that parses and
+    validates as (row index, record, labels); every other row goes to the
+    report. Blank lines are not rows; a missing trailing field is a missing
+    value; extra fields are ignored; a repeated column name reads its last
+    column.
+    """
+    path = Path(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise SchemaError(f"{path}: empty file, header row required")
+        position = {name: i for i, name in enumerate(header)}
+        missing = [col for col in columns.values() if col not in position]
+        if missing:
+            raise SchemaError(f"{path}: missing mandatory column(s) {', '.join(missing)}")
+        types = get_type_hints(record_type)
+        plan = [(position[columns[f.name]], _PARSERS[types[f.name]], columns[f.name])
+                for f in fields(record_type)]
+        present = {key: col for key, col in label_columns.items() if col in position}
+        label_plan = [(position[col], col) for col in present.values()]
+
+        report = ParseReport()
+        yield present, report
+        for cells in reader:
+            if not cells:
+                continue
+            i = report.n_rows
+            report.n_rows += 1
+            if len(cells) < len(header):
+                cells += [None] * (len(header) - len(cells))
+            try:
+                record = record_type(*[parse(cells[pos], col) for pos, parse, col in plan])
+                labels = [-1 if cells[pos] in ("", None) else _parse_int(cells[pos], col)
+                          for pos, col in label_plan]
+            except ValueError as exc:
+                kind = "non-numeric" if "non-numeric" in str(exc) else "missing-value"
+                report.errors.append(RowError(i, kind, str(exc)))
+                continue
+            problem = record.validate()
+            if problem is not None:
+                report.errors.append(RowError(i, "invariant", problem))
+                continue
+            yield i, record, labels
+
+
+def _write_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
+               records: Sequence, labels: Mapping[str, Sequence[int]]) -> None:
+    """One row per record, each value written by its field type, then its labels (column -> labels)."""
+    types = get_type_hints(record_type)
+    plan = [(f, _FORMATS.get(types[f], lambda v: v)) for f in columns]
+    with Path(path).open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([*columns.values(), *labels])
+        for i, rec in enumerate(records):
+            writer.writerow([fmt(getattr(rec, f)) for f, fmt in plan]
+                            + [int(column[i]) for column in labels.values()])
 
 
 def parse_task_csv(path: str | Path) -> Dataset:
     """Parse a task CSV into a Dataset, collecting malformed rows in the report.
 
-    Class-label columns are read when present.
+    Class-label columns are read when present; a blank class cell is -1.
+    The first row of a task id wins; later ones are duplicate-id errors.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        _require_columns(reader.fieldnames, TASK_COLUMNS, path)
-        present_class_cols = {
-            target: col for target, col in CLASS_COLUMNS.items()
-            if col in reader.fieldnames
-        }
-
-        report = ParseReport()
-        records: list[TaskRecord] = []
-        labels: dict[str, list[int]] = {t: [] for t in present_class_cols}
-        seen_ids: set[str] = set()
-
-        for i, row in enumerate(reader):
-            report.n_rows += 1
-            try:
-                record = TaskRecord(
-                    task_id=(row["TASK_ID"] or "").strip(),
-                    processing_type=(row["PROCESSINGTYPE"] or "").strip(),
-                    framework=(row["FRAMEWORK"] or "").strip(),
-                    core_count=_parse_int(row["NCORE"], "NCORE"),
-                    n_input=_parse_int(row["NINPUT"], "NINPUT"),
-                    n_files=_parse_int(row["NFILES"], "NFILES"),
-                    n_events=_parse_int(row["NEVENTS"], "NEVENTS"),
-                )
-                row_labels = {
-                    t: (_parse_int(row[col], col) if row[col] not in ("", None) else -1)
-                    for t, col in present_class_cols.items()
-                }
-            except ValueError as exc:
-                kind = "non-numeric" if "non-numeric" in str(exc) else "missing-value"
-                report.errors.append(RowError(i, kind, str(exc)))
-                continue
-
-            problem = record.validate()
-            if problem is not None:
-                report.errors.append(RowError(i, "invariant", problem))
-                continue
-            if record.task_id in seen_ids:
-                report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
-                continue
-
-            seen_ids.add(record.task_id)
-            records.append(record)
-            for t in present_class_cols:
-                labels[t].append(row_labels[t])
-            report.n_parsed += 1
-
-    dataset = Dataset(records=records, vocabularies=build_vocabularies(records), report=report)
-    if present_class_cols:
-        dataset = dataset.with_labels(
-            {t: np.asarray(vals, dtype=np.int64) for t, vals in labels.items()}
-        )
-        dataset.report = report
-    return dataset
+    rows = _read_csv(path, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS)
+    class_columns, report = next(rows)
+    records: list[TaskRecord] = []
+    label_rows: list[list[int]] = []
+    seen_ids: set[str] = set()
+    for i, record, row_labels in rows:
+        if record.task_id in seen_ids:
+            report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
+            continue
+        seen_ids.add(record.task_id)
+        records.append(record)
+        label_rows.append(row_labels)
+    report.n_parsed = len(records)
+    labels = {
+        target: np.asarray([row[j] for row in label_rows], dtype=np.int64)
+        for j, target in enumerate(class_columns)
+    }
+    return Dataset(records=records, vocabularies=build_vocabularies(records), labels=labels, report=report)
 
 
 def write_task_csv(dataset: Dataset, path: str | Path) -> None:
     """Inverse of parse_task_csv; label columns are written when present."""
-    path = Path(path)
-    label_targets = [t for t in CLASS_COLUMNS if t in dataset.labels]
-    header = list(TASK_COLUMNS.values()) + [CLASS_COLUMNS[t] for t in label_targets]
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, rec in enumerate(dataset.records):
-            row = [rec.task_id, rec.processing_type, rec.framework,
-                   rec.core_count, rec.n_input, rec.n_files, rec.n_events]
-            row += [int(dataset.labels[t][i]) for t in label_targets]
-            writer.writerow(row)
+    labels = {col: dataset.labels[t] for t, col in CLASS_COLUMNS.items() if t in dataset.labels}
+    _write_csv(path, TaskRecord, TASK_COLUMNS, dataset.records, labels)
 
 
 def parse_job_csv(path: str | Path) -> tuple[list[JobProfile], ParseReport]:
     """Parse the auxiliary job-profile CSV."""
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        _require_columns(reader.fieldnames, JOB_COLUMNS, path)
-
-        report = ParseReport()
-        jobs: list[JobProfile] = []
-        for i, row in enumerate(reader):
-            report.n_rows += 1
-            try:
-                job = JobProfile(
-                    task_id=(row["TASK_ID"] or "").strip(),
-                    max_pss=_parse_float(row["MAXPSS_MB"], "MAXPSS_MB"),
-                    start_time=_parse_float(row["STARTTIME"], "STARTTIME"),
-                    end_time=_parse_float(row["ENDTIME"], "ENDTIME"),
-                    core_power=_parse_float(row["COREPOWER"], "COREPOWER"),
-                    n_events_job=_parse_int(row["NEVENTS_JOB"], "NEVENTS_JOB"),
-                    input_bytes=_parse_float(row["INPUT_BYTES"], "INPUT_BYTES"),
-                    output_bytes=_parse_float(row["OUTPUT_BYTES"], "OUTPUT_BYTES"),
-                    core_count=_parse_int(row["CORECOUNT"], "CORECOUNT"),
-                    is_scout=(row["IS_SCOUT"] or "").strip().lower() in ("1", "true", "yes"),
-                )
-            except ValueError as exc:
-                kind = "non-numeric" if "non-numeric" in str(exc) else "missing-value"
-                report.errors.append(RowError(i, kind, str(exc)))
-                continue
-            problem = job.validate()
-            if problem is not None:
-                report.errors.append(RowError(i, "invariant", problem))
-                continue
-            jobs.append(job)
-            report.n_parsed += 1
+    rows = _read_csv(path, JobProfile, JOB_COLUMNS, {})
+    _, report = next(rows)
+    jobs = [job for _, job, _ in rows]
+    report.n_parsed = len(jobs)
     return jobs, report
 
 
 def write_job_csv(jobs: Sequence[JobProfile], path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(JOB_COLUMNS.values()))
-        for j in jobs:
-            writer.writerow([
-                j.task_id, repr(float(j.max_pss)), repr(float(j.start_time)),
-                repr(float(j.end_time)), repr(float(j.core_power)), j.n_events_job,
-                repr(float(j.input_bytes)), repr(float(j.output_bytes)),
-                j.core_count, int(j.is_scout),
-            ])
+    _write_csv(path, JobProfile, JOB_COLUMNS, jobs, {})
+
+
+def group_by_task(jobs: Sequence[JobProfile]) -> dict[str, list[JobProfile]]:
+    """Task id -> that task's jobs, in input order."""
+    by_task: dict[str, list[JobProfile]] = {}
+    for job in jobs:
+        by_task.setdefault(job.task_id, []).append(job)
+    return by_task
 
 
 @dataclass(frozen=True)
@@ -338,12 +334,12 @@ class SplitSpec:
 
     train_val_fraction: float = 0.85
     test_fraction: float = 0.15
-    val_fraction_of_train_val: float = 0.15
     seed: int = 0
     stratify_on: str = "RAMCOUNT"
+    val_fraction_of_train_val: ClassVar[float] = 0.15
 
     def __post_init__(self) -> None:
-        for frac in (self.train_val_fraction, self.test_fraction, self.val_fraction_of_train_val):
+        for frac in (self.train_val_fraction, self.test_fraction):
             if not 0.0 < frac < 1.0:
                 raise ValueError("split fractions must lie in (0, 1)")
         if abs(self.train_val_fraction + self.test_fraction - 1.0) > 1e-9:

@@ -123,13 +123,15 @@ def _flatten_ovr(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     return probs.ravel(), onehot.ravel()
 
 
-def _threshold_sweep(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _threshold_sweep(probs: np.ndarray, labels: np.ndarray,
+                     need_negative: bool) -> tuple[np.ndarray, np.ndarray]:
     """Cumulative (true, false) positive counts at each threshold, highest first.
 
     One stable descending sort of the one-vs-rest scores. A threshold sits at
     the last index of each tie group, so a tie group is one step of both
     curves. Index 0 is the threshold above every score, (0, 0); the last
-    entries are the positive and negative totals.
+    entries are the positive and negative totals. Every curve needs a
+    positive pair; a ROC curve (``need_negative``) needs a negative one too.
     """
     scores, positive = _flatten_ovr(probs, labels)
     order = np.argsort(-scores, kind="mergesort")
@@ -138,6 +140,9 @@ def _threshold_sweep(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray,
     ends = np.flatnonzero(np.append(scores[1:] != scores[:-1], len(scores) > 0))
     tp = np.concatenate([[0.0], np.cumsum(positive[order])[ends]])
     fp = np.concatenate([[0.0], ends + 1.0]) - tp
+    if tp[-1] == 0 or (need_negative and fp[-1] == 0):
+        raise ValueError("need at least one positive and one negative pair" if need_negative
+                         else "need at least one positive pair")
     return tp, fp
 
 
@@ -148,29 +153,25 @@ def roc_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
     ties counting one half. The trapezoids are summed in counts, which is
     exact, so the one division is the only rounding.
     """
-    tp, fp = _threshold_sweep(probs, labels)
-    if tp[-1] == 0 or fp[-1] == 0:
-        raise ValueError("need at least one positive and one negative pair")
+    tp, fp = _threshold_sweep(probs, labels, need_negative=True)
     return float(np.trapezoid(tp, fp) / (tp[-1] * fp[-1]))
 
 
 def pr_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
     """Micro-average PR AUC: sum of (R_i - R_{i-1}) * P_i over score thresholds."""
-    tp, fp = _threshold_sweep(probs, labels)
-    if tp[-1] == 0:
-        raise ValueError("need at least one positive pair")
+    tp, fp = _threshold_sweep(probs, labels, need_negative=False)
     return float((np.diff(tp / tp[-1]) * (tp[1:] / (tp[1:] + fp[1:]))).sum())
 
 
 def roc_curve_points(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(fpr, tpr) points of the micro-average ROC curve, for plotting."""
-    tp, fp = _threshold_sweep(probs, labels)
+    tp, fp = _threshold_sweep(probs, labels, need_negative=True)
     return np.column_stack([fp / fp[-1], tp / tp[-1]])
 
 
 def pr_curve_points(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(recall, precision) points of the micro-average PR curve; precision starts at 1."""
-    tp, fp = _threshold_sweep(probs, labels)
+    tp, fp = _threshold_sweep(probs, labels, need_negative=False)
     precision = np.concatenate([[1.0], tp[1:] / (tp[1:] + fp[1:])])
     return np.column_stack([tp / tp[-1], precision])
 

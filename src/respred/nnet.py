@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -53,20 +53,19 @@ class NanLossError(FloatingPointError):
 @dataclass(frozen=True)
 class TrainConfig:
     l2_lambda: float = 1e-4
-    dropout_rates: tuple[float, ...] = (0.40, 0.30, 0.30)
     batch_size: int = 256
     learning_rate: float = 5e-5
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     patience: int = 4
     max_epochs: int = 200
-    bn_momentum: float = 0.99
     seed: int = 0
+    # constants of the recipe, not settings
+    dropout_rates: ClassVar[tuple[float, ...]] = (0.40, 0.30, 0.30)
+    adam_beta1: ClassVar[float] = 0.9
+    adam_beta2: ClassVar[float] = 0.999
+    adam_eps: ClassVar[float] = 1e-8
+    bn_momentum: ClassVar[float] = 0.99
 
     def __post_init__(self) -> None:
-        if any(not 0.0 <= r < 1.0 for r in self.dropout_rates):
-            raise ValueError("dropout rates must lie in [0, 1)")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.learning_rate < 0:

@@ -8,9 +8,9 @@ exposes POST /predict, POST /feedback, GET /health and GET /metrics-summary
 over plain HTTP/JSON; a request body over MAX_BODY_BYTES is refused with 413
 before it is read, and one that falls short of its Content-Length for
 READ_TIMEOUT_S gets a 408 and a closed connection. Feedback is appended to
-a JSONL log, each line marked with whether its task was predicted by this
-process, and folded into per-target agreement counters; a restarted service
-replays the log into its counters.
+a JSONL log, each line marked with whether its task is among the last
+MAX_TRACKED_TASKS predicted by this process, and folded into per-target
+agreement counters; a restarted service replays the log into its counters.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import os
 import struct
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -32,16 +33,16 @@ import numpy as np
 
 from .discretize import TARGET_NAMES, BinSpec, assign_class, class_to_allocation
 from .encode import CategoricalSpec, EncoderSpec, NumericSpec
-from .ingest import TASK_COLUMNS, TaskRecord
+from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, TaskRecord
 from .nnet import Network, TargetModel, TrainConfig, predict
 
 MAGIC = b"RPAF"
 FORMAT_VERSION = 2
-REQUEST_FEATURES = ("PROCESSINGTYPE", "FRAMEWORK", "NCORE", "NINPUT", "NFILES", "NEVENTS")
 BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
 MAX_BODY_BYTES = 1 << 20     # a request body is a few hundred bytes
 READ_TIMEOUT_S = 10.0        # socket timeout per request; a body cut short gets a 408
+MAX_TRACKED_TASKS = 100_000  # predicted ids kept for feedback (~15 MB); the oldest go first
 
 
 class CorruptArtifactError(ValueError):
@@ -262,17 +263,14 @@ def _int_feature(doc: Mapping, name: str) -> int:
 
 def record_from_request(doc: Mapping) -> TaskRecord:
     """The TaskRecord a request describes; a bad feature is a ValidationError naming it."""
-    for name in REQUEST_FEATURES:
+    features = {f: col for f, col in TASK_COLUMNS.items() if f != "task_id"}
+    for name in features.values():      # every feature is present before any is parsed
         if name not in doc or doc[name] in ("", None):
             raise ValidationError(f"missing feature {name}", field_name=name)
     record = TaskRecord(
-        task_id=str(doc.get("TASK_ID", "")),
-        processing_type=str(doc["PROCESSINGTYPE"]),
-        framework=str(doc["FRAMEWORK"]),
-        core_count=_int_feature(doc, "NCORE"),
-        n_input=_int_feature(doc, "NINPUT"),
-        n_files=_int_feature(doc, "NFILES"),
-        n_events=_int_feature(doc, "NEVENTS"),
+        task_id=str(doc.get(TASK_COLUMNS["task_id"], "")),
+        **{f: _int_feature(doc, col) if f in NUMERIC_FEATURES else str(doc[col])
+           for f, col in features.items()},
     )
     problem = record.validate()
     if problem is not None:
@@ -372,7 +370,8 @@ class PredictionService:
         self.feedback_log = Path(feedback_log) if feedback_log else None
         self.counters = FeedbackCounters()
         self._lock = threading.Lock()
-        self._predicted_ids: set[str] = set()
+        # the most recently predicted task ids, oldest first
+        self._predicted_ids: OrderedDict[str, None] = OrderedDict()
         if self.feedback_log and self.feedback_log.exists():
             self._replay_log()
 
@@ -387,9 +386,14 @@ class PredictionService:
         if artifact is None:
             raise NotServableError("no artifact loaded")
         response = predict_request(artifact, doc)
-        if response["task_id"]:
+        task_id = response["task_id"]
+        if task_id:
             with self._lock:
-                self._predicted_ids.add(response["task_id"])
+                ids = self._predicted_ids
+                ids[task_id] = None
+                ids.move_to_end(task_id)
+                while len(ids) > MAX_TRACKED_TASKS:
+                    ids.popitem(last=False)
         return response
 
     def feedback(self, doc: Mapping) -> dict:

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .discretize import TARGET_NAMES, BinSpec, ResourceClasses, assign_class, class_to_allocation
-from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies
+from .discretize import TARGET_REGISTRY, BinSpec, ResourceClasses, assign_class, class_to_allocation
+from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies, group_by_task
 from .targets import ResourceConfig, aggregate_scouts
 
 HOUR = 3600.0
@@ -84,24 +84,20 @@ class GeneratorSpec:
     seed: int = 0
     n_tasks: int = 10_000
     profiles: tuple[CategoryProfile, ...] = field(default_factory=default_profiles)
-    noise_sigma: float = 0.05          # residual log-noise on each target
-    event_coupling: float = 0.85       # log-target shift per sigma of log-events
-    file_coupling: float = 0.60        # same, for I/O vs log-files
-    files_sigma: float = 0.90          # spread of the files-per-input multiplier
-    files_per_job: float = 16.0        # jobs partition the input files
-    job_jitter: float = 0.10           # per-job spread around task-level values
-    scout_fraction: float = 0.08
+    noise_sigma: ClassVar[float] = 0.05          # residual log-noise on each target
+    event_coupling: ClassVar[float] = 0.85       # log-target shift per sigma of log-events
+    file_coupling: ClassVar[float] = 0.60        # same, for I/O vs log-files
+    files_sigma: ClassVar[float] = 0.90          # spread of the files-per-input multiplier
+    files_per_job: ClassVar[float] = 16.0        # jobs partition the input files
+    job_jitter: ClassVar[float] = 0.10           # per-job spread around task-level values
+    scout_fraction: ClassVar[float] = 0.08
     # queue bounds wide open so the synthetic walltime tail is not clipped
-    resource_config: ResourceConfig = field(
-        default_factory=lambda: ResourceConfig(min_time=0.0, max_time=1e9)
-    )
+    resource_config: ClassVar[ResourceConfig] = ResourceConfig(min_time=0.0, max_time=1e9)
 
     def __post_init__(self) -> None:
         total = sum(p.probability for p in self.profiles)
         if self.profiles and abs(total - 1.0) > 1e-9:
             raise ValueError(f"profile probabilities must sum to 1, got {total}")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
 
 
 @dataclass
@@ -111,10 +107,7 @@ class SynthResult:
     jobs: list[JobProfile]
 
     def jobs_by_task(self) -> dict[str, list[JobProfile]]:
-        by_task: dict[str, list[JobProfile]] = {}
-        for job in self.jobs:
-            by_task.setdefault(job.task_id, []).append(job)
-        return by_task
+        return group_by_task(self.jobs)
 
 
 def generate(spec: GeneratorSpec) -> SynthResult:
@@ -123,7 +116,7 @@ def generate(spec: GeneratorSpec) -> SynthResult:
     cfg = spec.resource_config
 
     records: list[TaskRecord] = []
-    targets = {name: np.zeros(spec.n_tasks) for name in TARGET_NAMES}
+    targets = {name: np.zeros(spec.n_tasks) for name in TARGET_REGISTRY}
     jobs: list[JobProfile] = []
 
     probs = np.asarray([p.probability for p in spec.profiles])
@@ -235,9 +228,9 @@ class SimConfig:
     scout_wait_sigma: float = 2.25
     scout_wait_mean_hours: float = 7.0
     ml_latency: float = 0.5            # seconds per decision
-    fail_fraction: float = 0.5         # fraction of exec time lost to a RAM failure
-    jobs_per_task_mu: float = math.log(12.0)
-    jobs_per_task_sigma: float = 0.7
+    fail_fraction: ClassVar[float] = 0.5         # fraction of exec time lost to a RAM failure
+    jobs_per_task_mu: ClassVar[float] = math.log(12.0)
+    jobs_per_task_sigma: ClassVar[float] = 0.7
     # at 10^4 tasks this seed's wait sample sits close to the configured
     # distribution (mean ~6.9 h, ~0.7% of waits beyond 150 h)
     seed: int = 14
@@ -299,14 +292,9 @@ def _scout_allocation(inputs: BrokerInputs, record: TaskRecord) -> ResourceClass
     if not scouts:
         raise ValueError(f"scout mode requires job profiles (task {record.task_id})")
     agg = aggregate_scouts(scouts, inputs.resource_config).targets
-    values = {
-        "RAMCOUNT": agg.ram_count,
-        "CPUTIME": agg.cpu_time,
-        "IOINTENSITY": agg.io_intensity,
-        "WALLTIME": agg.walltime,
-    }
     return ResourceClasses.from_dict({
-        name: assign_class(values[name], inputs.bins[name]) for name in TARGET_NAMES
+        name: assign_class(getattr(agg, field_name), inputs.bins[name])
+        for name, (_, _, field_name) in TARGET_REGISTRY.items()
     })
 
 

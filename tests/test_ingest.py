@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from respred.ingest import (
+    JOB_COLUMNS,
     Dataset,
     SchemaError,
     SplitSpec,
@@ -136,6 +137,64 @@ def test_job_csv_round_trip(tmp_path):
     back, report = parse_job_csv(path)
     assert back == jobs
     assert report.n_rejected == 0
+
+
+# --- reader behaviour a csv.DictReader gave and the column-table reader keeps
+
+def test_parse_skips_blank_lines_without_counting_them(tmp_path):
+    path = write(tmp_path, HEADER + "\n\n"
+                 "t1,sim,Athena,1,1,2,100\n\n\n"
+                 "t2,sim,Athena,abc,1,2,100\n")
+    ds = parse_task_csv(path)
+    assert [r.task_id for r in ds.records] == ["t1"]
+    assert (ds.report.n_rows, ds.report.n_parsed) == (2, 1)
+    assert [(e.row_index, e.kind) for e in ds.report.errors] == [(1, "non-numeric")]
+
+
+def test_parse_short_row_is_missing_value_naming_first_missing_column(tmp_path):
+    path = write(tmp_path, HEADER + "\n"
+                 "t1,sim,Athena,1,1\n")
+    ds = parse_task_csv(path)
+    assert len(ds) == 0
+    (err,) = ds.report.errors
+    assert err.kind == "missing-value"
+    assert "NFILES" in err.message and "NEVENTS" not in err.message
+
+
+def test_parse_short_row_leaves_class_label_unknown(tmp_path):
+    path = write(tmp_path, HEADER + ",RAMCOUNT_CLASS\n"
+                 "t1,sim,Athena,1,1,2,100\n")
+    assert parse_task_csv(path).labels["RAMCOUNT"].tolist() == [-1]
+
+
+def test_parse_ignores_extra_fields(tmp_path):
+    path = write(tmp_path, HEADER + "\n"
+                 "t1,sim,Athena,1,1,2,100,surplus,9\n")
+    ds = parse_task_csv(path)
+    assert ds.records == [TaskRecord("t1", "sim", "Athena", 1, 1, 2, 100)]
+    assert ds.report.n_rejected == 0
+
+
+def test_parse_repeated_column_reads_its_last_occurrence(tmp_path):
+    path = write(tmp_path, "NCORE," + HEADER + ",NEVENTS\n"
+                 "9,t1,sim,Athena,1,1,2,100,7\n"
+                 "9,t2,sim,Athena,1,1,2,100\n")
+    ds = parse_task_csv(path)
+    assert ds.records == [TaskRecord("t1", "sim", "Athena", 1, 1, 2, 7)]
+    # in a short row the last NEVENTS is missing, whatever the first holds
+    assert [(e.row_index, e.kind) for e in ds.report.errors] == [(1, "missing-value")]
+
+
+def test_parse_job_short_and_blank_rows(tmp_path):
+    header = ",".join(JOB_COLUMNS.values())
+    path = write(tmp_path, header + "\n\n"
+                 "t1,100.0,0.0,10.0,10.0,5,1.0,1.0,1,yes,extra\n"
+                 "t1,100.0,0.0,10.0,10.0,5,1.0,1.0\n", name="jobs.csv")
+    jobs, report = parse_job_csv(path)
+    assert [j.is_scout for j in jobs] == [True]
+    assert (report.n_rows, report.n_parsed) == (2, 1)
+    (err,) = report.errors
+    assert (err.row_index, err.kind) == (1, "missing-value") and "CORECOUNT" in err.message
 
 
 # --- stratified splitting

@@ -155,6 +155,17 @@ def test_roc_auc_degenerate_rejected():
         roc_auc_micro(np.ones((3, 1)), np.zeros(3, dtype=int))
 
 
+@pytest.mark.parametrize("curve, probs, labels, message", [
+    (roc_curve_points, np.ones((3, 1)), np.zeros(3, dtype=int), "one negative"),
+    (roc_curve_points, np.zeros((0, 2)), np.zeros(0, dtype=int), "one negative"),
+    (pr_curve_points, np.zeros((0, 2)), np.zeros(0, dtype=int), "one positive pair"),
+])
+def test_curve_points_degenerate_rejected(curve, probs, labels, message):
+    # the curves refuse what their areas refuse, instead of dividing by zero
+    with pytest.raises(ValueError, match=message):
+        curve(probs, labels)
+
+
 def test_roc_auc_random_against_pairwise_oracle():
     rng = np.random.default_rng(21)
     for _ in range(40):

@@ -482,6 +482,25 @@ def test_feedback_log_lines_without_known_task_replay_as_unknown(models, tmp_pat
     assert PredictionService(None, feedback_log=log_path).metrics_summary()["n_unknown_task"] == 1
 
 
+def test_predicted_ids_are_bounded(models, monkeypatch):
+    # only the most recently predicted MAX_TRACKED_TASKS ids count as known
+    models, synth = models
+    monkeypatch.setattr(service, "MAX_TRACKED_TASKS", 2, raising=False)
+    svc = PredictionService(ModelArtifact(models=models, created_at="", config_fingerprint=""))
+    # record 0 is predicted again after record 1, so record 1 is the one dropped
+    responses = {i: svc.predict(sample_request(synth.dataset.records[i])) for i in (0, 1, 0, 2)}
+    known = {
+        i: svc.feedback({
+            "task_id": response["task_id"],
+            "predicted_classes": {t: response["predictions"][t]["class"] for t in TARGETS},
+            "actual_targets": actual_targets_for(synth, i),
+        })["known_task"]
+        for i, response in responses.items()
+    }
+    assert known == {0: True, 1: False, 2: True}
+    assert len(svc._predicted_ids) == 2
+
+
 # --- http layer
 
 def http_json(url, payload=None):
