@@ -12,7 +12,7 @@ import csv
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import ClassVar, Iterator, Mapping, Optional, Sequence, get_type_hints
+from typing import ClassVar, Iterator, Mapping, Optional, Sequence, TextIO, get_type_hints
 
 import numpy as np
 
@@ -211,35 +211,30 @@ _PARSERS = {
 _FORMATS = {float: lambda v: repr(float(v)), bool: int}
 
 
-def _read_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
-              label_columns: Mapping[str, str]) -> Iterator[tuple]:
-    """The rows of a CSV as ``record_type`` records, each value parsed by its field type.
+def _read_csv(fh: TextIO, record_type: type, columns: Mapping[str, str], label_columns: Mapping[str, str],
+              report: ParseReport) -> tuple[dict[str, str], Iterator[tuple[int, object, list[int]]]]:
+    """Check an open CSV's header; return the label columns it has and its rows, read lazily.
 
-    Yields first the label columns the header has (the labels are read from
-    these, in order) and the report, then each row that parses and
-    validates as (row index, record, labels); every other row goes to the
-    report. Blank lines are not rows; a missing trailing field is a missing
-    value; extra fields are ignored; a repeated column name reads its last
-    column.
+    A row is (row index, record, labels), its labels read from those columns in
+    order; a row that does not parse by field type or validate goes to ``report``.
+    Blank lines are not rows; a missing trailing field is a missing value; extra
+    fields are ignored; a repeated column name reads its last column.
     """
-    path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: empty file, header row required")
-        position = {name: i for i, name in enumerate(header)}
-        missing = [col for col in columns.values() if col not in position]
-        if missing:
-            raise SchemaError(f"{path}: missing mandatory column(s) {', '.join(missing)}")
-        types = get_type_hints(record_type)
-        plan = [(position[columns[f.name]], _PARSERS[types[f.name]], columns[f.name])
-                for f in fields(record_type)]
-        present = {key: col for key, col in label_columns.items() if col in position}
-        label_plan = [(position[col], col) for col in present.values()]
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{fh.name}: empty file, header row required")
+    position = {name: i for i, name in enumerate(header)}
+    missing = [col for col in columns.values() if col not in position]
+    if missing:
+        raise SchemaError(f"{fh.name}: missing mandatory column(s) {', '.join(missing)}")
+    types = get_type_hints(record_type)
+    plan = [(position[columns[f.name]], _PARSERS[types[f.name]], columns[f.name])
+            for f in fields(record_type)]
+    present = {key: col for key, col in label_columns.items() if col in position}
+    label_plan = [(position[col], col) for col in present.values()]
 
-        report = ParseReport()
-        yield present, report
+    def rows() -> Iterator[tuple[int, object, list[int]]]:
         for cells in reader:
             if not cells:
                 continue
@@ -261,6 +256,8 @@ def _read_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
                 continue
             yield i, record, labels
 
+    return present, rows()
+
 
 def _write_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
                records: Sequence, labels: Mapping[str, Sequence[int]]) -> None:
@@ -281,18 +278,19 @@ def parse_task_csv(path: str | Path) -> Dataset:
     Class-label columns are read when present; a blank class cell is -1.
     The first row of a task id wins; later ones are duplicate-id errors.
     """
-    rows = _read_csv(path, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS)
-    class_columns, report = next(rows)
+    report = ParseReport()
     records: list[TaskRecord] = []
     label_rows: list[list[int]] = []
     seen_ids: set[str] = set()
-    for i, record, row_labels in rows:
-        if record.task_id in seen_ids:
-            report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
-            continue
-        seen_ids.add(record.task_id)
-        records.append(record)
-        label_rows.append(row_labels)
+    with Path(path).open(newline="") as fh:
+        class_columns, rows = _read_csv(fh, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS, report)
+        for i, record, row_labels in rows:
+            if record.task_id in seen_ids:
+                report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
+                continue
+            seen_ids.add(record.task_id)
+            records.append(record)
+            label_rows.append(row_labels)
     report.n_parsed = len(records)
     labels = {
         target: np.asarray([row[j] for row in label_rows], dtype=np.int64)
@@ -309,9 +307,10 @@ def write_task_csv(dataset: Dataset, path: str | Path) -> None:
 
 def parse_job_csv(path: str | Path) -> tuple[list[JobProfile], ParseReport]:
     """Parse the auxiliary job-profile CSV."""
-    rows = _read_csv(path, JobProfile, JOB_COLUMNS, {})
-    _, report = next(rows)
-    jobs = [job for _, job, _ in rows]
+    report = ParseReport()
+    with Path(path).open(newline="") as fh:
+        _, rows = _read_csv(fh, JobProfile, JOB_COLUMNS, {}, report)
+        jobs = [job for _, job, _ in rows]
     report.n_parsed = len(jobs)
     return jobs, report
 

@@ -42,7 +42,10 @@ BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
 MAX_BODY_BYTES = 1 << 20     # a request body is a few hundred bytes
 READ_TIMEOUT_S = 10.0        # socket timeout per request; a body cut short gets a 408
-MAX_TRACKED_TASKS = 100_000  # predicted ids kept for feedback (~15 MB); the oldest go first
+# Predicted ids kept for feedback's known_task, oldest dropped first (~15 MB). The window
+# must hold predicts/s x feedback delay; at the synthetic generator's p95 delay (293 h) it
+# holds up to ~0.09 predicts/s. Unverified against real PanDA traffic (see README).
+MAX_TRACKED_TASKS = 100_000
 
 
 class CorruptArtifactError(ValueError):
@@ -101,7 +104,9 @@ class ModelArtifact:
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
-    return hashlib.sha256(repr(cfg).encode()).hexdigest()[:16]
+    # repr lists the settable fields only, so the recipe constants are hashed beside them
+    recipe = (cfg, cfg.dropout_rates, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.bn_momentum)
+    return hashlib.sha256(repr(recipe).encode()).hexdigest()[:16]
 
 
 def _artifact_bytes(artifact: ModelArtifact) -> bytes:

@@ -501,6 +501,22 @@ def test_predicted_ids_are_bounded(models, monkeypatch):
     assert len(svc._predicted_ids) == 2
 
 
+@pytest.mark.parametrize("constant, value", [
+    ("dropout_rates", (0.5, 0.3, 0.3)),
+    ("adam_beta1", 0.8),
+    ("adam_beta2", 0.99),
+    ("adam_eps", 1e-7),
+    ("bn_momentum", 0.9),
+])
+def test_config_fingerprint_covers_recipe_constants(monkeypatch, constant, value):
+    # the constants are not in TrainConfig's repr, yet they change what training does
+    cfg = TrainConfig(seed=3)
+    before = service.config_fingerprint(cfg)
+    monkeypatch.setattr(TrainConfig, constant, value)
+    assert service.config_fingerprint(cfg) != before
+    assert service.config_fingerprint(TrainConfig(seed=4)) != service.config_fingerprint(cfg)
+
+
 # --- http layer
 
 def http_json(url, payload=None):
