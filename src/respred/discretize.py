@@ -9,6 +9,8 @@ top bin) so a predicted class converts directly into a resource request.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -151,9 +153,9 @@ def explicit_bins(
 
 def assign_class(value: float, spec: BinSpec) -> int:
     """Class index of a continuous value; values on an edge go to the lower class."""
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError("value must be finite")
-    return int(np.searchsorted(spec.edges, value, side="left"))
+    return bisect.bisect_left(spec.edges, value)
 
 
 def assign_classes(values: Sequence[float], spec: BinSpec) -> np.ndarray:

@@ -112,7 +112,7 @@ class JobProfile:
 @dataclass(frozen=True)
 class RowError:
     row_index: int      # 0-based data-row index (header excluded)
-    kind: str           # "non-numeric" | "invariant" | "duplicate-id" | "missing-value"
+    kind: str           # "non-numeric" (non-finite too) | "invariant" | "duplicate-id" | "missing-value"
     message: str
 
 
@@ -176,27 +176,35 @@ def build_vocabularies(records: Sequence[TaskRecord]) -> dict[str, dict[str, int
     return vocabs
 
 
+class CellError(ValueError):
+    """A cell that does not parse as its field's type; ``kind`` is its RowError kind."""
+
+    def __init__(self, kind: str, message: str) -> None:
+        super().__init__(message)
+        self.kind = kind
+
+
 def _parse_int(raw: Optional[str], column: str) -> int:
     if raw is None or raw.strip() == "":
-        raise ValueError(f"missing value in column {column}")
+        raise CellError("missing-value", f"missing value in column {column}")
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"non-numeric value {raw!r} in column {column}") from None
+        raise CellError("non-numeric", f"non-numeric value {raw!r} in column {column}") from None
     if not math.isfinite(value) or value != int(value):
-        raise ValueError(f"non-numeric value {raw!r} in column {column} (integer expected)")
+        raise CellError("non-numeric", f"non-numeric value {raw!r} in column {column} (integer expected)")
     return int(value)
 
 
 def _parse_float(raw: Optional[str], column: str) -> float:
     if raw is None or raw.strip() == "":
-        raise ValueError(f"missing value in column {column}")
+        raise CellError("missing-value", f"missing value in column {column}")
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"non-numeric value {raw!r} in column {column}") from None
+        raise CellError("non-numeric", f"non-numeric value {raw!r} in column {column}") from None
     if not math.isfinite(value):
-        raise ValueError(f"non-finite value {raw!r} in column {column}")
+        raise CellError("non-numeric", f"non-finite value {raw!r} in column {column}")
     return value
 
 
@@ -246,9 +254,8 @@ def _read_csv(fh: TextIO, record_type: type, columns: Mapping[str, str], label_c
                 record = record_type(*[parse(cells[pos], col) for pos, parse, col in plan])
                 labels = [-1 if cells[pos] in ("", None) else _parse_int(cells[pos], col)
                           for pos, col in label_plan]
-            except ValueError as exc:
-                kind = "non-numeric" if "non-numeric" in str(exc) else "missing-value"
-                report.errors.append(RowError(i, kind, str(exc)))
+            except CellError as exc:
+                report.errors.append(RowError(i, exc.kind, str(exc)))
                 continue
             problem = record.validate()
             if problem is not None:

@@ -24,7 +24,9 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .discretize import TARGET_REGISTRY, BinSpec, ResourceClasses, assign_class, class_to_allocation
+from .discretize import (
+    TARGET_REGISTRY, BinSpec, ResourceClasses, assign_classes, class_to_allocation, classes_to_resource_classes,
+)
 from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies, group_by_task
 from .targets import ResourceConfig, aggregate_scouts
 
@@ -286,16 +288,21 @@ class BrokerInputs:
 Predictor = Callable[[Sequence[TaskRecord]], list[ResourceClasses]]
 
 
-def _scout_allocation(inputs: BrokerInputs, record: TaskRecord) -> ResourceClasses:
-    jobs = (inputs.jobs_by_task or {}).get(record.task_id, [])
-    scouts = [j for j in jobs if j.is_scout] or jobs
-    if not scouts:
-        raise ValueError(f"scout mode requires job profiles (task {record.task_id})")
-    agg = aggregate_scouts(scouts, inputs.resource_config).targets
-    return ResourceClasses.from_dict({
-        name: assign_class(getattr(agg, field_name), inputs.bins[name])
-        for name, (_, _, field_name) in TARGET_REGISTRY.items()
-    })
+def _scout_allocations(inputs: BrokerInputs) -> list[ResourceClasses]:
+    """Each task's classes from its scouts' aggregated targets (all its jobs when none is flagged)."""
+    by_task = inputs.jobs_by_task or {}
+    derived = {name: np.empty(len(inputs.records)) for name in TARGET_REGISTRY}
+    for i, record in enumerate(inputs.records):
+        jobs = by_task.get(record.task_id, [])
+        scouts = [j for j in jobs if j.is_scout] or jobs
+        if not scouts:
+            raise ValueError(f"scout mode requires job profiles (task {record.task_id})")
+        agg = aggregate_scouts(scouts, inputs.resource_config).targets
+        for name, (_, _, field_name) in TARGET_REGISTRY.items():
+            derived[name][i] = getattr(agg, field_name)
+    return classes_to_resource_classes(
+        {name: assign_classes(values, inputs.bins[name]) for name, values in derived.items()}
+    )
 
 
 def _execute(
@@ -389,7 +396,7 @@ def simulate(
     elif mode == "ml":
         allocations = predictor(inputs.records)
     else:
-        allocations = [_scout_allocation(inputs, r) for r in inputs.records]
+        allocations = _scout_allocations(inputs)
 
     turnaround = np.zeros(n)
     decisions = np.zeros(n)

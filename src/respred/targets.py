@@ -9,10 +9,9 @@ percentile rules (75th for RAM, 95th for CPU time, median for I/O).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
-
-import numpy as np
+from typing import Iterable
 
 from .ingest import JobProfile
 
@@ -115,10 +114,24 @@ def derive_walltime(cpu_time: float, n_events: float, cfg: ResourceConfig) -> fl
     return min(max(w, cfg.min_time), cfg.max_time)
 
 
-def _percentile(values: Sequence[float], q: float) -> float:
-    # linear interpolation between closest ranks; np.percentile partitions a copy,
-    # so the aggregation is independent of scout ordering
-    return float(np.percentile(np.asarray(values, dtype=float), q))
+def _percentile(values: Iterable[float], q: float) -> float:
+    # np.percentile's "linear" method in plain Python, step for step in numpy's
+    # order (_get_indexes, _get_gamma, _lerp), so every aggregate is the float
+    # np.percentile gives; a numpy call costs more than sorting a task's 1-10
+    # values, and sorting a copy keeps the result independent of scout order
+    xs = sorted(map(float, values))
+    if any(map(math.isnan, xs)):
+        return math.nan
+    n = len(xs)
+    pos = (n - 1) * (q / 100)
+    if pos >= n - 1:
+        a = b = xs[-1]
+        t = pos + 1
+    else:
+        lo = math.floor(pos)
+        a, b, t = xs[lo], xs[lo + 1], pos - lo
+    d = b - a
+    return b - d * (1 - t) if t >= 0.5 else a + d * t
 
 
 def cpu_filter_passes(job: JobProfile) -> bool:

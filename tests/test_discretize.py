@@ -98,6 +98,24 @@ def test_assign_class_monotone():
     assert (np.diff(classes) >= 0).all()
 
 
+def test_assign_class_matches_assign_classes():
+    rng = np.random.default_rng(8)
+    spec = fit_bins(rng.lognormal(0, 2, 400), "WALLTIME", 5)
+    values = np.concatenate([rng.lognormal(0, 2.5, 500), spec.edges,
+                             np.nextafter(spec.edges, np.inf), np.nextafter(spec.edges, -np.inf)])
+    expected = assign_classes(values, spec)
+    assert [assign_class(v, spec) for v in values] == expected.tolist()   # np.float64 values
+    assert [assign_class(float(v), spec) for v in values] == expected.tolist()
+    assert [assign_class(e, spec) for e in spec.edges] == list(range(spec.n_classes - 1))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_assign_class_rejects_non_finite(value):
+    spec = explicit_bins("RAMCOUNT", [10, 20, 30], top_cap=100)
+    with pytest.raises(ValueError, match="finite"):
+        assign_class(value, spec)
+
+
 def test_quantile_bins_give_near_equal_frequencies():
     rng = np.random.default_rng(9)
     values = rng.normal(0, 1, 1000)  # continuous, no ties

@@ -197,6 +197,17 @@ def test_parse_job_short_and_blank_rows(tmp_path):
     assert (err.row_index, err.kind) == (1, "missing-value") and "CORECOUNT" in err.message
 
 
+def test_parse_job_non_finite_value_is_non_numeric(tmp_path):
+    header = ",".join(JOB_COLUMNS.values())
+    path = write(tmp_path, header + "\n"
+                 "t1,inf,0.0,10.0,10.0,5,1.0,1.0,1,yes\n", name="jobs.csv")
+    jobs, report = parse_job_csv(path)
+    assert jobs == []
+    (err,) = report.errors
+    assert (err.row_index, err.kind) == (0, "non-numeric")
+    assert err.message == "non-finite value 'inf' in column MAXPSS_MB"
+
+
 # --- stratified splitting
 
 def labeled_dataset(class_sizes, seed=0):

@@ -1,11 +1,13 @@
 """Synthetic population generator and brokerage simulation."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from respred.discretize import ResourceClasses
+from respred import simsynth
+from respred.discretize import ResourceClasses, assign_class
 from respred.pipeline import fit_all_bins, label_dataset
 from respred.simsynth import (
     BrokerInputs,
@@ -64,6 +66,7 @@ def shifted_predictor(inputs, field, delta):
 
 
 # --- generator
+
 
 def test_generate_empty():
     res = generate(GeneratorSpec(seed=0, n_tasks=0))
@@ -131,6 +134,7 @@ def test_generate_profile_probabilities_validated():
 
 # --- simulation
 
+
 def test_ml_mode_perfect_predictor_zero_latency():
     inputs, _ = small_inputs()
     cfg = SimConfig(seed=1, ml_latency=0.0)
@@ -163,6 +167,38 @@ def test_scout_mode_requires_jobs():
     inputs.jobs_by_task = None
     with pytest.raises(ValueError, match="job profiles"):
         simulate(inputs, "scout", SimConfig())
+
+
+def test_scout_allocations_equal_per_task_oracle(monkeypatch):
+    inputs, _ = small_inputs(n_tasks=200, seed=9)
+    # a task with no flagged scout falls back to all of its jobs; its jobs after
+    # the first are made larger so that the fallback shows in its RAM class
+    fallback_id = next(r.task_id for r in inputs.records if len(inputs.jobs_by_task[r.task_id]) >= 4)
+    inputs.jobs_by_task[fallback_id] = [
+        dataclasses.replace(j, is_scout=False, max_pss=j.max_pss * (50 if k else 1))
+        for k, j in enumerate(inputs.jobs_by_task[fallback_id])
+    ]
+    expected = []
+    for record in inputs.records:
+        jobs = inputs.jobs_by_task[record.task_id]
+        agg = aggregate_scouts([j for j in jobs if j.is_scout] or jobs, inputs.resource_config).targets
+        expected.append(ResourceClasses(
+            ram_class=assign_class(agg.ram_count, inputs.bins["RAMCOUNT"]),
+            cpu_class=assign_class(agg.cpu_time, inputs.bins["CPUTIME"]),
+            io_class=assign_class(agg.io_intensity, inputs.bins["IOINTENSITY"]),
+            wall_class=assign_class(agg.walltime, inputs.bins["WALLTIME"]),
+        ))
+
+    seen = {}
+    execute = simsynth._execute
+
+    def spy(inputs, task_index, alloc, *rest):
+        seen[task_index] = alloc
+        return execute(inputs, task_index, alloc, *rest)
+
+    monkeypatch.setattr(simsynth, "_execute", spy)
+    simulate(inputs, "scout", SimConfig(seed=5))
+    assert [seen[i] for i in range(len(inputs.records))] == expected
 
 
 def test_simulation_deterministic():
@@ -240,6 +276,7 @@ def test_wasted_core_hours_zero_iff_exact_classes():
 
 
 # --- compare
+
 
 def test_compare_equalized_isolates_decision_latency():
     inputs, _ = small_inputs(n_tasks=200)

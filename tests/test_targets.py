@@ -15,6 +15,7 @@ from respred.targets import (
     derive_io_intensity,
     derive_ram_count,
     derive_walltime,
+    _percentile,
 )
 
 
@@ -45,6 +46,7 @@ def make_job(
 
 
 # --- independent oracles (kept deliberately separate from the implementation)
+
 
 def oracle_ram(max_pss, base, cores, margin, floor):
     return max((max_pss - base) / cores * margin, floor)
@@ -214,12 +216,30 @@ def test_walltime_always_within_bounds():
 
 # --- scout aggregation
 
+
 def scouts_with_ram(ram_gb, cfg):
     # invert the ram formula so derived ram equals the requested GB values
     return [
         make_job(max_pss=r * 1024 * 4 / cfg.margin + cfg.base_ram_count, cores=4, task_id=f"s{i}")
         for i, r in enumerate(ram_gb)
     ]
+
+
+@pytest.mark.parametrize("q", [50.0, 75.0, 95.0])
+def test_percentile_equals_numpy_linear(q):
+    rng = np.random.default_rng(int(q))
+    specials = np.array([math.inf, -math.inf, math.nan, 0.0, -0.0])
+    for _ in range(2000):
+        n = int(rng.integers(1, 41))
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 12)
+        if rng.random() < 0.3:                       # ties
+            values = rng.choice(values[: max(1, n // 3)], size=n)
+        if rng.random() < 0.1:
+            values[rng.integers(0, n, size=2)] = rng.choice(specials, size=2)
+        with np.errstate(invalid="ignore"):
+            expected = float(np.percentile(values, q))
+        got = _percentile(values.tolist(), q)
+        assert got == expected or (math.isnan(got) and math.isnan(expected)), (values.tolist(), q)
 
 
 def test_aggregate_75th_percentile_ram():
