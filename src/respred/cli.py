@@ -153,7 +153,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     artifact = service.load_artifact(args.artifact)
     if args.features:
-        doc = json.loads(args.features)
+        try:
+            doc = json.loads(args.features)
+        except ValueError:
+            doc = None
+        if not isinstance(doc, dict):
+            raise service.ValidationError("--features must be a JSON object")
         response = service.predict_request(artifact, doc)
         print(json.dumps(response, indent=2, sort_keys=True))
         return 0

@@ -12,16 +12,19 @@ abort on any non-finite loss.
 Everything is numpy; forward/backward are hand-derived so gradients can be
 checked against central finite differences.
 
-The train-mode step allocates no activation-sized arrays. Each Network keeps
-a workspace of scratch buffers keyed by (name, shape), so the full batches
-and the last short batch of an epoch each get their own set; the dropout
-masks, activations, gates, input gradients and dense weight gradients are
-written into it with ``out=``, and ``train`` empties it when it returns.
-Arrays that train mode hands back (masks, gradients, cache) are views of
-that workspace and hold only until the next train-mode call on the same
-network. Inference and "mc" modes allocate fresh arrays, except for masks
-drawn by make_dropout_masks; inference alone never touches the workspace,
-so concurrent predictions on one network are safe.
+One layer loop serves every forward mode and one backward loop mirrors it;
+the normalization statistics are the only branch in each. Dropout masks
+apply in train and "mc" modes; inference ignores them. Train mode allocates
+no activation-sized arrays. Each Network keeps a workspace of scratch
+buffers keyed by (name, shape), so the full batches and the last short
+batch of an epoch each get their own set; the dropout masks, activations,
+gates, input gradients and dense weight gradients are written into it with
+``out=``, and ``train`` empties it when it returns. Arrays that train mode
+hands back (masks, gradients, cache) are views of that workspace and hold
+only until the next train-mode call on the same network. Inference and "mc"
+modes let numpy allocate and never touch the workspace, so concurrent
+predictions on one network are safe; only the masks an "mc" caller draws
+with make_dropout_masks live there.
 
 Train mode leaves the dense bias out: batch normalization subtracts the
 batch mean, which cancels any per-unit bias exactly, so ``z = x @ W`` and the
@@ -186,84 +189,56 @@ def _concat_inputs(net: Network, batch: EncodedBatch, out: Optional[np.ndarray] 
     return np.concatenate(segments, axis=1, out=out)
 
 
-def _forward_train(
-    net: Network, batch: EncodedBatch, masks: Optional[list[np.ndarray]]
-) -> tuple[np.ndarray, list[dict]]:
-    """Batch-statistics forward into the workspace: (last hidden output, per-layer cache)."""
-    n = batch.row_count
-    x = _concat_inputs(net, batch, out=net.buffer("x0", (n, net.input_width)))
-    layers = []
-    for i, width in enumerate(net.hidden):
-        shape = (n, width)
-        gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
-        # z = x @ W without the bias, which the batch mean cancels; centred and scaled in place
-        xhat = np.matmul(x, net.params[f"dense{i}:W"], out=net.buffer(f"xhat{i}", shape))
-        mu = xhat.mean(axis=0)
-        xhat -= mu
-        var = np.einsum("ij,ij->j", xhat, xhat) / n     # biased, as normalized
-        inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv_std
-        out = np.multiply(xhat, gamma, out=net.buffer(f"out{i}", shape))
-        out += beta
-        # ReLU then dropout is one multiplication by the gate, also d(out)/d(a)
-        gate = np.greater(out, 0.0, out=net.buffer(f"gate{i}", shape))
-        if masks is not None:
-            gate *= masks[i]
-        out *= gate
-        layers.append({"x_in": x, "xhat": xhat, "gate": gate, "mu": mu, "var": var, "inv_std": inv_std})
-        x = out
-    return x, layers
-
-
-def _forward_eval(
-    net: Network, batch: EncodedBatch, mode: str, masks: Optional[list[np.ndarray]]
-) -> tuple[np.ndarray, list[dict]]:
-    """Running-statistics forward, with dropout in "mc" mode: (last hidden output, per-layer cache)."""
-    use_dropout = mode == "mc" and masks is not None
-    x = _concat_inputs(net, batch)
-    layers = []
-    for i in range(len(net.hidden)):
-        W, b = net.params[f"dense{i}:W"], net.params[f"dense{i}:b"]
-        gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
-        z = x @ W + b
-        inv_std = 1.0 / np.sqrt(net.running[f"dense{i}:var"] + BN_EPS)
-        xhat = (z - net.running[f"dense{i}:mean"]) * inv_std
-        a = gamma * xhat + beta
-        out = np.maximum(a, 0.0)
-        if use_dropout:
-            out *= masks[i]
-        layers.append({"x_in": x, "xhat": xhat, "a": a, "inv_std": inv_std})
-        x = out
-    return x, layers
-
-
 def _forward_cached(
     net: Network,
     batch: EncodedBatch,
     mode: str,
     dropout_masks: Optional[list[np.ndarray]],
 ) -> tuple[np.ndarray, dict]:
-    # "train": batch statistics + dropout; "inference": running statistics,
-    # no dropout; "mc": running statistics with dropout sampling (Monte-Carlo
-    # dropout, also what the unbiasedness check needs).
-    if mode == "train":
-        x, layers = _forward_train(net, batch, dropout_masks)
-    else:
-        x, layers = _forward_eval(net, batch, mode, dropout_masks)
+    """forward's pass: (class probabilities, per-layer cache for loss_and_grads)."""
+    if mode not in ("train", "inference", "mc"):
+        raise ValueError(f"unknown forward mode {mode!r}: expected 'train', 'inference' or 'mc'")
+    train = mode == "train"
+    masks = None if mode == "inference" else dropout_masks
+    n = batch.row_count
+    x = _concat_inputs(net, batch, out=net.buffer("x0", (n, net.input_width)) if train else None)
+    layers = []
+    for i, width in enumerate(net.hidden):
+        shape = (n, width)
+        W = net.params[f"dense{i}:W"]
+        gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
+        # normalized in place: xhat starts as x @ W
+        xhat = np.matmul(x, W, out=net.buffer(f"xhat{i}", shape) if train else None)
+        if train:
+            # the bias is left out: the batch mean cancels it
+            mu = xhat.mean(axis=0)
+            xhat -= mu
+            var = np.einsum("ij,ij->j", xhat, xhat) / n     # biased, as normalized
+        else:
+            mu, var = net.running[f"dense{i}:mean"], net.running[f"dense{i}:var"]
+            xhat += net.params[f"dense{i}:b"]
+            xhat -= mu
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
+        xhat *= inv_std
+        out = np.multiply(xhat, gamma, out=net.buffer(f"out{i}", shape) if train else None)
+        out += beta
+        # ReLU then dropout is one multiplication by the gate, also d(out)/d(a)
+        gate = np.greater(out, 0.0, out=net.buffer(f"gate{i}", shape) if train else None)
+        if masks is not None:
+            gate = np.multiply(gate, masks[i], out=gate if train else None)
+        out *= gate
+        layers.append({"x_in": x, "xhat": xhat, "gate": gate, "mu": mu, "var": var, "inv_std": inv_std})
+        x = out
 
     logits = x @ net.params["out:W"] + net.params["out:b"]
     if net.binary:
         p = 1.0 / (1.0 + np.exp(-logits[:, 0]))
         probs = np.column_stack([1.0 - p, p])
     else:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expz = np.exp(shifted)
-        probs = expz / expz.sum(axis=1, keepdims=True)
-    cache = {
-        "layers": layers, "mode": mode, "masks": dropout_masks,
-        "x_last": x, "logits": logits, "probs": probs,
-    }
-    return probs, cache
+        logits -= logits.max(axis=1, keepdims=True)
+        probs = np.exp(logits, out=logits)
+        probs /= probs.sum(axis=1, keepdims=True)
+    return probs, {"layers": layers, "x_last": x}
 
 
 def forward(
@@ -274,10 +249,11 @@ def forward(
 ) -> np.ndarray:
     """Class-probability matrix (rows sum to 1); binary nets emit [1-p, p].
 
-    Inference mode uses running statistics and no dropout. Train mode
-    normalizes with batch statistics; "mc" mode keeps running statistics.
-    Both apply the given dropout masks (from make_dropout_masks), and
-    neither drops anything without them.
+    "inference" normalizes with the running statistics and ignores dropout
+    masks. "train" normalizes with batch statistics into the network's
+    workspace. "mc" is inference with dropout (Monte-Carlo dropout). Train
+    and "mc" apply the given masks (from make_dropout_masks) and drop nothing
+    without them. Any other mode is a ValueError.
     """
     probs, _ = _forward_cached(net, batch, mode, dropout_masks)
     return probs
@@ -374,7 +350,6 @@ def loss_and_grads(
     grads["out:b"] = dlogits.sum(axis=0)
 
     train = mode == "train"
-    masks = cache["masks"]
     hidden = net.hidden
     n_embedded = sum(dim for _name, _vocab, dim in net.cat_features)
     dx = np.matmul(dlogits, net.params["out:W"].T,
@@ -383,21 +358,18 @@ def loss_and_grads(
         layer = cache["layers"][i]
         W = net.params[f"dense{i}:W"]
         gamma = net.params[f"dense{i}:gamma"]
+        dx *= layer["gate"]
         if train:
-            dx *= layer["gate"]
             dz, dgamma, dbeta = _bn_backward(dx, layer["xhat"], gamma, layer["inv_std"])
-            dW = np.matmul(layer["x_in"].T, dz, out=net.buffer(f"dW{i}", W.shape))
-            dW += np.multiply(W, cfg.l2_lambda, out=net.buffer("l2W", W.shape))
             db = np.zeros(hidden[i])        # the bias is not in the train-mode forward
         else:
-            da = dx * (layer["a"] > 0)
-            if mode == "mc" and masks is not None:
-                da *= masks[i]
-            dgamma = (da * layer["xhat"]).sum(axis=0)
-            dbeta = da.sum(axis=0)
-            dz = da * (gamma * layer["inv_std"])
-            dW = layer["x_in"].T @ dz + cfg.l2_lambda * W
+            # running statistics are constants, so the normalization is affine
+            dgamma = (dx * layer["xhat"]).sum(axis=0)
+            dbeta = dx.sum(axis=0)
+            dz = dx * (gamma * layer["inv_std"])
             db = dz.sum(axis=0)
+        dW = np.matmul(layer["x_in"].T, dz, out=net.buffer(f"dW{i}", W.shape) if train else None)
+        dW += np.multiply(W, cfg.l2_lambda, out=net.buffer("l2W", W.shape) if train else None)
         grads[f"dense{i}:gamma"] = dgamma
         grads[f"dense{i}:beta"] = dbeta
         grads[f"dense{i}:W"] = dW

@@ -60,6 +60,10 @@ class NotServableError(ValueError):
     """The artifact does not carry all four targets."""
 
 
+class CorruptFeedbackLogError(ValueError):
+    """A feedback log line is not a feedback entry; the message names the file and line."""
+
+
 class ValidationError(ValueError):
     """A request document failed validation; ``field`` names the offender."""
 
@@ -381,10 +385,27 @@ class PredictionService:
             self._replay_log()
 
     def _replay_log(self) -> None:
-        # log lines carry their actual classes and known_task, so replay needs no artifact
-        for line in self.feedback_log.read_text().splitlines():
-            if line.strip():
-                self._apply_feedback(json.loads(line), append=False)
+        # log lines carry their actual classes and known_task, so replay needs no artifact;
+        # every line is checked before any counter changes
+        entries = []
+        for number, line in enumerate(self.feedback_log.read_text().splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line)
+            except ValueError:
+                entry = None
+            if not (isinstance(entry, dict) and all(
+                isinstance(entry.get(key), dict) and all(t in entry[key] for t in TARGET_NAMES)
+                for key in ("predicted_classes", "actual_classes")
+            )):
+                raise CorruptFeedbackLogError(
+                    f"{self.feedback_log} line {number}: not a feedback entry with "
+                    "predicted_classes and actual_classes for every target"
+                )
+            entries.append(entry)
+        for entry in entries:
+            self._apply_feedback(entry, append=False)
 
     def predict(self, doc: Mapping) -> dict:
         artifact = self.artifact

@@ -126,6 +126,13 @@ def test_predict_single_document(workdir, capsys):
     assert set(doc["predictions"]) == {"RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME"}
 
 
+@pytest.mark.parametrize("features", ["{not json", "5"])
+def test_predict_bad_features_exits_2_naming_the_flag(workdir, capsys, features):
+    code = main(["predict", "--artifact", str(workdir / "artifact.rpa"), "--features", features])
+    assert code == 2
+    assert "--features" in capsys.readouterr().err
+
+
 def test_predict_without_inputs_exits_2(workdir):
     with pytest.raises(SystemExit) as err:
         main(["predict", "--artifact", str(workdir / "artifact.rpa")])
@@ -206,6 +213,25 @@ def test_serve_subcommand_end_to_end(workdir):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+
+
+@pytest.mark.parametrize("bad_line", ["{}", '{"task_id": "a", "pred'])
+def test_serve_refuses_a_corrupt_feedback_log_in_one_line(workdir, tmp_path, capsys, monkeypatch, bad_line):
+    from respred import service
+
+    def serve_forever(svc, bind):
+        raise AssertionError("served despite a corrupt feedback log")
+
+    monkeypatch.setattr(service, "serve_forever", serve_forever)
+    log_path = tmp_path / "fb.jsonl"
+    log_path.write_text(bad_line + "\n")
+    code = main([
+        "serve", "--artifact", str(workdir / "artifact.rpa"), "--feedback-log", str(log_path),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert f"{log_path} line 1" in err
 
 
 def test_derived_targets_close_to_synth_truth(workdir):

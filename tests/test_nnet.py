@@ -1,8 +1,9 @@
 """Network forward/backward, Adam, training loop and prediction contracts.
 
 The gradient check perturbs every parameter element and compares central
-finite differences against backprop, in both train mode (fixed dropout
-masks, batch statistics) and inference mode (running statistics).
+finite differences against backprop in train mode (fixed dropout masks,
+batch statistics), inference mode (running statistics) and "mc" mode
+(running statistics, fixed dropout masks).
 """
 
 import math
@@ -181,7 +182,7 @@ def fd_gradient(net, batch, cfg, weights, mode, masks, name, h=1e-5):
     return grad
 
 
-@pytest.mark.parametrize("mode", ["train", "inference"])
+@pytest.mark.parametrize("mode", ["train", "inference", "mc"])
 @pytest.mark.parametrize("n_classes", [3, 2])
 def test_gradients_match_finite_differences(mode, n_classes):
     rng = np.random.default_rng(42)
@@ -191,8 +192,16 @@ def test_gradients_match_finite_differences(mode, n_classes):
     weights = class_weight_vector(batch.labels, n_classes)
     masks = (
         make_dropout_masks(net, batch.row_count, cfg.dropout_rates, np.random.default_rng(9))
-        if mode == "train" else None
+        if mode != "inference" else None
     )
+    if mode != "train":
+        # running statistics off their initial 0 and 1: there, a row whose whole
+        # input is dropped meets the ReLU at exactly 0, where the loss has no
+        # derivative for the finite differences to check
+        stats_rng = np.random.default_rng(11)
+        for i, width in enumerate(net.hidden):
+            net.running[f"dense{i}:mean"] = stats_rng.normal(0.0, 0.5, width)
+            net.running[f"dense{i}:var"] = stats_rng.uniform(0.5, 2.0, width)
 
     _, grads, _ = loss_and_grads(net, batch, cfg, weights, mode=mode, dropout_masks=masks)
     worst = 0.0
@@ -245,6 +254,35 @@ def test_train_mode_bias_gradient_is_exactly_zero():
         assert not grads[f"dense{i}:b"].any()
     _, grads, _ = loss_and_grads(net, batch, cfg, np.ones(3), mode="inference")
     assert grads["dense0:b"].any()      # inference still differentiates the bias
+
+
+def test_unknown_mode_is_refused():
+    rng = np.random.default_rng(46)
+    net = tiny_net()
+    batch = tiny_batch(rng)
+    with pytest.raises(ValueError, match="trian"):
+        forward(net, batch, mode="trian")
+    with pytest.raises(ValueError, match="trian"):
+        loss_and_grads(net, batch, TrainConfig(), np.ones(3), mode="trian")
+
+
+def test_inference_leaves_the_workspace_alone():
+    # a train step fills the workspace; inference forward and backward after
+    # it must neither add, replace nor write any buffer
+    rng = np.random.default_rng(47)
+    net = tiny_net(seed=10)
+    batch = tiny_batch(rng, n_rows=16)
+    cfg = TrainConfig()
+    masks = make_dropout_masks(net, batch.row_count, cfg.dropout_rates, rng)
+    train_step(net, batch, cfg, AdamState(), np.ones(3), masks)
+    before = dict(net.workspace)
+    contents = {k: v.copy() for k, v in before.items()}
+    forward(net, batch, mode="inference")
+    loss_and_grads(net, batch, cfg, np.ones(3), mode="inference")
+    assert net.workspace.keys() == before.keys()
+    for key, buf in net.workspace.items():
+        assert buf is before[key], key
+        assert np.array_equal(buf, contents[key], equal_nan=True), key
 
 
 def test_steps_of_two_sizes_give_fresh_net_gradients():

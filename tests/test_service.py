@@ -22,6 +22,7 @@ from respred.service import (
     MAX_BODY_BYTES,
     ArtifactVersionError,
     CorruptArtifactError,
+    CorruptFeedbackLogError,
     ModelArtifact,
     NotServableError,
     PredictionService,
@@ -480,6 +481,33 @@ def test_feedback_log_lines_without_known_task_replay_as_unknown(models, tmp_pat
     assert entry.pop("known_task") is True
     log_path.write_text(json.dumps(entry) + "\n")
     assert PredictionService(None, feedback_log=log_path).metrics_summary()["n_unknown_task"] == 1
+
+
+@pytest.mark.parametrize("bad_line", [
+    "{}",                                   # no classes at all
+    '{"task_id": "a", "pred',               # torn by a crash mid-write
+    "[1, 2]",                               # not an object
+    '{"predicted_classes": {}, "actual_classes": {}}',
+])
+def test_feedback_log_malformed_line_names_file_and_line(models, tmp_path, bad_line):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    log_path = tmp_path / "fb.jsonl"
+    svc = PredictionService(artifact, feedback_log=log_path)
+    svc.feedback({
+        "task_id": "task0",
+        "predicted_classes": {t: 0 for t in TARGETS},
+        "actual_targets": actual_targets_for(synth, 0),
+    })
+    with log_path.open("a") as fh:
+        fh.write("\n" + bad_line + "\n")      # the bad line is line 3
+    with pytest.raises(CorruptFeedbackLogError, match=r"fb\.jsonl line 3\b"):
+        PredictionService(None, feedback_log=log_path)
+    # the good line before it changes no counter either
+    before = svc.metrics_summary()
+    with pytest.raises(CorruptFeedbackLogError):
+        svc._replay_log()
+    assert svc.metrics_summary() == before
 
 
 def test_predicted_ids_are_bounded(models, monkeypatch):
