@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import ClassVar, Iterator, Mapping, Optional, Sequence, TextIO, get_type_hints
@@ -208,9 +209,11 @@ def _parse_float(raw: Optional[str], column: str) -> float:
     return value
 
 
-# how a CSV value becomes a field value, by the field's type
+# how a CSV value becomes a field value, by the field's type; strings are
+# interned, so a value repeated across rows and files (a task id in every job
+# row, a categorical value in every task row) is kept once
 _PARSERS = {
-    str: lambda raw, column: (raw or "").strip(),
+    str: lambda raw, column: sys.intern((raw or "").strip()),
     int: _parse_int,
     float: _parse_float,
     bool: lambda raw, column: (raw or "").strip().lower() in ("1", "true", "yes"),

@@ -14,7 +14,14 @@ checked against central finite differences.
 
 One layer loop serves every forward mode and one backward loop mirrors it;
 the normalization statistics are the only branch in each. Dropout masks
-apply in train and "mc" modes; inference ignores them. Train mode allocates
+apply in train and "mc" modes; inference ignores them. Inference and "mc"
+normalize with the running statistics, so every row is computed on its own:
+``forward`` runs a batch of more than INFERENCE_BLOCK_ROWS rows as
+consecutive row blocks, each a view of the batch, and writes each block's
+probabilities into one output array; the blocks of one call share one set
+of activation arrays. Such a forward then holds the output and one block's
+activations, whatever the row count. Train mode normalizes
+with the statistics of the whole batch and is never blocked; it allocates
 no activation-sized arrays. Each Network keeps a workspace of scratch
 buffers keyed by (name, shape), so the full batches and the last short
 batch of an epoch each get their own set; the dropout masks, activations,
@@ -22,7 +29,8 @@ gates, input gradients and dense weight gradients are written into it with
 ``out=``, and ``train`` empties it when it returns. Arrays that train mode
 hands back (masks, gradients, cache) are views of that workspace and hold
 only until the next train-mode call on the same network. Inference and "mc"
-modes let numpy allocate and never touch the workspace, so concurrent
+modes never touch the workspace: they let numpy allocate, and the row blocks
+of one forward call share a scratch set of their own, so concurrent
 predictions on one network are safe; only the masks an "mc" caller draws
 with make_dropout_masks live there.
 
@@ -47,6 +55,10 @@ from .encode import EncodedBatch, EncoderSpec, encode
 
 BN_EPS = 1e-5
 PROB_FLOOR = 1e-12
+# rows per block of an inference or "mc" forward: the widest activation of a
+# block is 1024 x 256 floats (2 MB), and a block's numpy call overhead stays
+# under 5% of its arithmetic
+INFERENCE_BLOCK_ROWS = 1024
 
 
 class NanLossError(FloatingPointError):
@@ -145,11 +157,16 @@ class Network:
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         """The workspace array for (name, shape); its contents are left over from the last use."""
-        key = (name, shape)
-        buf = self.workspace.get(key)
-        if buf is None:
-            buf = self.workspace[key] = np.empty(shape)
-        return buf
+        return _buffer(self.workspace, name, shape)
+
+
+def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+    """The array for (name, shape) in store, made on first use; its contents are left over."""
+    key = (name, shape)
+    buf = store.get(key)
+    if buf is None:
+        buf = store[key] = np.empty(shape, dtype)
+    return buf
 
 
 def make_dropout_masks(
@@ -189,26 +206,45 @@ def _concat_inputs(net: Network, batch: EncodedBatch, out: Optional[np.ndarray] 
     return np.concatenate(segments, axis=1, out=out)
 
 
+def _check_masks(net: Network, n_rows: int, dropout_masks: list[np.ndarray]) -> None:
+    """Refuse masks that are not one (rows, width) array per hidden layer."""
+    if len(dropout_masks) != len(net.hidden):
+        raise ValueError(f"{len(dropout_masks)} dropout masks given for {len(net.hidden)} hidden layers")
+    for i, (mask, width) in enumerate(zip(dropout_masks, net.hidden)):
+        if np.shape(mask) != (n_rows, width):
+            raise ValueError(
+                f"dropout mask of dense{i} has shape {np.shape(mask)}, expected {(n_rows, width)}"
+            )
+
+
 def _forward_cached(
     net: Network,
     batch: EncodedBatch,
     mode: str,
     dropout_masks: Optional[list[np.ndarray]],
+    scratch: Optional[dict] = None,
 ) -> tuple[np.ndarray, dict]:
-    """forward's pass: (class probabilities, per-layer cache for loss_and_grads)."""
+    """forward's pass: (class probabilities, per-layer cache for loss_and_grads).
+
+    Train mode writes its activations into the network's workspace; other
+    modes into ``scratch`` when given (forward's row blocks share one), else
+    into fresh arrays.
+    """
     if mode not in ("train", "inference", "mc"):
         raise ValueError(f"unknown forward mode {mode!r}: expected 'train', 'inference' or 'mc'")
     train = mode == "train"
+    store = net.workspace if train else scratch
+    buffered = store is not None
     masks = None if mode == "inference" else dropout_masks
     n = batch.row_count
-    x = _concat_inputs(net, batch, out=net.buffer("x0", (n, net.input_width)) if train else None)
+    x = _concat_inputs(net, batch, out=_buffer(store, "x0", (n, net.input_width)) if buffered else None)
     layers = []
     for i, width in enumerate(net.hidden):
         shape = (n, width)
         W = net.params[f"dense{i}:W"]
         gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
         # normalized in place: xhat starts as x @ W
-        xhat = np.matmul(x, W, out=net.buffer(f"xhat{i}", shape) if train else None)
+        xhat = np.matmul(x, W, out=_buffer(store, f"xhat{i}", shape) if buffered else None)
         if train:
             # the bias is left out: the batch mean cancels it
             mu = xhat.mean(axis=0)
@@ -220,10 +256,13 @@ def _forward_cached(
             xhat -= mu
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
-        out = np.multiply(xhat, gamma, out=net.buffer(f"out{i}", shape) if train else None)
+        out = np.multiply(xhat, gamma, out=_buffer(store, f"out{i}", shape) if buffered else None)
         out += beta
-        # ReLU then dropout is one multiplication by the gate, also d(out)/d(a)
-        gate = np.greater(out, 0.0, out=net.buffer(f"gate{i}", shape) if train else None)
+        # ReLU then dropout is one multiplication by the gate, also d(out)/d(a); train
+        # multiplies its masks into the gate in place, so that gate is float, while
+        # other modes keep a bool gate, which np.greater fills without a cast
+        gate = np.greater(out, 0.0, out=_buffer(store, f"gate{i}", shape, float if train else bool)
+                          if buffered else None)
         if masks is not None:
             gate = np.multiply(gate, masks[i], out=gate if train else None)
         out *= gate
@@ -253,9 +292,37 @@ def forward(
     masks. "train" normalizes with batch statistics into the network's
     workspace. "mc" is inference with dropout (Monte-Carlo dropout). Train
     and "mc" apply the given masks (from make_dropout_masks) and drop nothing
-    without them. Any other mode is a ValueError.
+    without them; masks that are not one (rows, width) array per hidden
+    layer are a ValueError, as is any other mode.
+
+    Inference and "mc" run a batch of more than INFERENCE_BLOCK_ROWS rows in
+    blocks of that many rows (each mask sliced alike), so their peak memory
+    does not grow with the row count beyond the (rows, classes) result.
+    Train mode always runs the whole batch, whose statistics it needs.
     """
-    probs, _ = _forward_cached(net, batch, mode, dropout_masks)
+    n = batch.row_count
+    if dropout_masks is not None and mode != "inference":
+        _check_masks(net, n, dropout_masks)
+    if mode == "train" or n <= INFERENCE_BLOCK_ROWS:
+        probs, _ = _forward_cached(net, batch, mode, dropout_masks)
+        return probs
+    probs = np.empty((n, net.n_classes))
+    # the blocks reuse one set of activation arrays: with fresh ones, each block's
+    # megabytes go back to the OS and fault in again
+    scratch: dict = {}
+    for start in range(0, n, INFERENCE_BLOCK_ROWS):
+        rows = slice(start, start + INFERENCE_BLOCK_ROWS)
+        n_block = min(n - start, INFERENCE_BLOCK_ROWS)
+        if n_block < INFERENCE_BLOCK_ROWS:
+            # the short last block writes into the leading rows of the full blocks' arrays
+            scratch = {(name, (n_block, *shape[1:])): buf[:n_block] for (name, shape), buf in scratch.items()}
+        block = EncodedBatch(
+            categorical_indices={k: v[rows] for k, v in batch.categorical_indices.items()},
+            numeric_matrix=batch.numeric_matrix[rows],
+            row_count=n_block,
+        )
+        masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]
+        probs[rows], _ = _forward_cached(net, block, mode, masks, scratch)
     return probs
 
 
@@ -328,6 +395,8 @@ def loss_and_grads(
     labels = batch.labels
     if labels is None:
         raise ValueError("batch carries no labels")
+    if dropout_masks is not None and mode != "inference":
+        _check_masks(net, batch.row_count, dropout_masks)
     probs, cache = _forward_cached(net, batch, mode, dropout_masks)
     total = loss(probs, labels, weights, net, cfg)
 

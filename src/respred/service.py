@@ -11,6 +11,8 @@ READ_TIMEOUT_S gets a 408 and a closed connection. Feedback is appended to
 a JSONL log, each line marked with whether its task is among the last
 MAX_TRACKED_TASKS predicted by this process, and folded into per-target
 agreement counters; a restarted service replays the log into its counters.
+GET /health names the serving artifact by the SHA-256 of its file, its
+created_at and its config fingerprint.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ class ModelArtifact:
     created_at: str
     config_fingerprint: str
     version: int = FORMAT_VERSION
+    sha256: Optional[str] = None     # of the file's bytes, once saved or loaded
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
@@ -170,7 +173,9 @@ def save_artifact(
         created_at=created_at or datetime.now(timezone.utc).isoformat(timespec="seconds"),
         config_fingerprint=config_fingerprint(train_config) if train_config else "",
     )
-    Path(path).write_bytes(_artifact_bytes(artifact))
+    data = _artifact_bytes(artifact)
+    Path(path).write_bytes(data)
+    artifact.sha256 = hashlib.sha256(data).hexdigest()
     return artifact
 
 
@@ -213,6 +218,7 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         created_at=created_at,
         config_fingerprint=fingerprint,
         version=version,
+        sha256=hashlib.sha256(raw).hexdigest(),
     )
 
 
@@ -501,8 +507,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
         if self.path == "/health":
-            ok = self.service.artifact is not None
-            self._send(200 if ok else 503, {"status": "ok" if ok else "no artifact"})
+            artifact = self.service.artifact
+            if artifact is None:
+                self._send(503, {"status": "no artifact"})
+            else:
+                self._send(200, {"status": "ok", "sha256": artifact.sha256,
+                                 "created_at": artifact.created_at,
+                                 "config_fingerprint": artifact.config_fingerprint})
         elif self.path == "/metrics-summary":
             self._send(200, self.service.metrics_summary())
         else:

@@ -139,6 +139,21 @@ def test_job_csv_round_trip(tmp_path):
     assert report.n_rejected == 0
 
 
+def test_parsed_strings_are_kept_once_per_value(tmp_path):
+    types = ("simul", "recon", "deriv", "merge", "evgen")
+    body = "".join(f"task{i:04d},{types[i % 5]},Athena,1,1,2,100\n" for i in range(200))
+    tasks = parse_task_csv(write(tmp_path, HEADER + "\n" + body))
+    assert len(tasks) == 200
+    assert len({id(r.processing_type) for r in tasks.records}) == 5
+    assert len({id(r.framework) for r in tasks.records}) == 1
+
+    header = ",".join(JOB_COLUMNS.values())
+    job = "task0007,2000.0,0.0,10.0,10.0,100,0.0,0.0,1,0\n"
+    jobs, report = parse_job_csv(write(tmp_path, header + "\n" + job + job, name="jobs.csv"))
+    assert report.n_rejected == 0
+    assert jobs[0].task_id is jobs[1].task_id is tasks.records[7].task_id
+
+
 # --- reader behaviour a csv.DictReader gave and the column-table reader keeps
 
 def test_parse_skips_blank_lines_without_counting_them(tmp_path):

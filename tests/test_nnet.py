@@ -7,11 +7,13 @@ batch statistics), inference mode (running statistics) and "mc" mode
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from respred.encode import CategoricalSpec, EncodedBatch, EncoderSpec, NumericSpec, encode
+from respred import nnet
 from respred.ingest import TaskRecord
 from respred.nnet import (
     BN_EPS,
@@ -31,6 +33,7 @@ from respred.nnet import (
     train,
     train_step,
     _bn_backward,
+    _forward_cached,
 )
 from respred.discretize import explicit_bins
 
@@ -264,6 +267,75 @@ def test_unknown_mode_is_refused():
         forward(net, batch, mode="trian")
     with pytest.raises(ValueError, match="trian"):
         loss_and_grads(net, batch, TrainConfig(), np.ones(3), mode="trian")
+
+
+@pytest.mark.parametrize("mode", ["mc", "train"])
+def test_misshapen_dropout_masks_are_refused(mode):
+    rng = np.random.default_rng(48)
+    net = tiny_net()
+    batch = tiny_batch(rng)
+    cfg = TrainConfig()
+    good = [np.ones((8, w)) for w in net.hidden]
+    cases = {
+        "one row": ([np.ones((1, w)) for w in net.hidden], r"dense0.*\(1, 4\).*\(8, 4\)"),
+        "one column": (good[:1] + [good[1][:, :1]] + good[2:], r"dense1.*\(8, 1\).*\(8, 3\)"),
+        "too few": (good[:2], "2 dropout masks given for 3 hidden layers"),
+    }
+    for masks, message in cases.values():
+        with pytest.raises(ValueError, match=message):
+            forward(net, batch, mode=mode, dropout_masks=masks)
+        with pytest.raises(ValueError, match=message):
+            loss_and_grads(net, batch, cfg, np.ones(3), mode=mode, dropout_masks=masks)
+        if mode == "train":
+            with pytest.raises(ValueError, match=message):
+                train_step(net, batch, cfg, AdamState(), np.ones(3), masks)
+
+
+# --- blocked inference
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 5, 11])
+@pytest.mark.parametrize("n_classes", [3, 2])
+def test_blocked_forward_equals_one_pass(monkeypatch, n_rows, n_classes):
+    rng = np.random.default_rng(49)
+    net = tiny_net(n_classes=n_classes, seed=3)
+    for i in range(3):
+        net.running[f"dense{i}:mean"] = rng.standard_normal(net.hidden[i])
+        net.running[f"dense{i}:var"] = rng.uniform(0.5, 2.0, net.hidden[i])
+    batch = tiny_batch(rng, n_rows=n_rows, n_classes=n_classes)
+    masks = make_dropout_masks(net, n_rows, (0.4, 0.3, 0.3), rng)
+    monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 4)
+    for mode, mode_masks in (("inference", None), ("mc", masks)):
+        whole, _ = _forward_cached(net, batch, mode, mode_masks)
+        blocked = forward(net, batch, mode=mode, dropout_masks=mode_masks)
+        assert blocked.shape == whole.shape == (n_rows, n_classes)
+        assert np.abs(blocked - whole).max(initial=0.0) <= 1e-12
+        assert np.array_equal(blocked.argmax(axis=1), whole.argmax(axis=1))
+
+
+def test_train_forward_is_never_blocked(monkeypatch):
+    # per-block batch statistics would normalize each block on its own
+    rng = np.random.default_rng(50)
+    net = tiny_net(seed=4)
+    batch = tiny_batch(rng, n_rows=11)
+    masks = make_dropout_masks(net, 11, (0.4, 0.3, 0.3), rng)
+    whole = _forward_cached(net, batch, "train", masks)[0].copy()
+    monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 4)
+    assert np.array_equal(forward(net, batch, mode="train", dropout_masks=masks), whole)
+
+
+def test_inference_peak_memory_does_not_grow_with_rows(monkeypatch):
+    monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 256)
+    net = Network(tiny_encoder(), n_classes=3, hidden=(64, 32, 16), seed=6)
+    peaks = {}
+    for n_rows in (1024, 8192):
+        batch = tiny_batch(np.random.default_rng(51), n_rows=n_rows)
+        tracemalloc.start()
+        try:
+            forward(net, batch, mode="inference")
+            peaks[n_rows] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[8192] <= 2 * peaks[1024], peaks
 
 
 def test_inference_leaves_the_workspace_alone():

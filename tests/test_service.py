@@ -1,5 +1,6 @@
 """Artifact persistence, prediction/feedback endpoints and the HTTP layer."""
 
+import hashlib
 import http.client
 import json
 import socket
@@ -581,6 +582,31 @@ def test_http_health_and_metrics(server):
     assert status == 200 and doc["status"] == "ok"
     status, doc = http_json(base + "/metrics-summary")
     assert status == 200 and doc["n_records"] == 0
+
+
+def test_health_names_the_artifact_by_its_file_digest(models, tmp_path):
+    models, _ = models
+    path = tmp_path / "model.rpaf"
+    saved = save_artifact(models, path, train_config=TrainConfig(), created_at="2025-01-02T03:04:05+00:00")
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert saved.sha256 == digest
+    loaded = load_artifact(path)
+    assert loaded.sha256 == digest
+    never_saved = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    for artifact, expected in ((loaded, digest), (never_saved, None)):
+        httpd = make_server(PredictionService(artifact), "127.0.0.1:0")
+        thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+        thread.start()
+        host, port = httpd.server_address[:2]
+        try:
+            status, doc = http_json(f"http://{host}:{port}/health")
+        finally:
+            httpd.shutdown()
+            httpd.server_close()
+        assert status == 200
+        assert doc == {"status": "ok", "sha256": expected, "created_at": artifact.created_at,
+                       "config_fingerprint": artifact.config_fingerprint}
+    assert (loaded.created_at, loaded.config_fingerprint) == (saved.created_at, saved.config_fingerprint)
 
 
 def test_http_predict_matches_in_process(server):
