@@ -51,7 +51,7 @@ from .nnet import (
     train,
     train_step,
 )
-from .pipeline import evaluate_models, fit_all_bins, label_dataset, train_all
+from .pipeline import evaluate_models, evaluate_predictions, fit_all_bins, label_dataset, train_all
 from .service import (
     ModelArtifact,
     PredictionService,
@@ -78,6 +78,7 @@ from .targets import (
     derive_cpu_time,
     derive_io_intensity,
     derive_ram_count,
+    derive_tasks,
     derive_walltime,
 )
 

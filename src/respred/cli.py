@@ -14,19 +14,23 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, pipeline, service, simsynth
-from .discretize import TARGET_NAMES, TARGET_REGISTRY, classes_to_resource_classes
+from .discretize import TARGET_NAMES, classes_to_resource_classes
 from .nnet import TrainConfig, predict
-from .targets import ResourceConfig, aggregate_scouts
+from .targets import ResourceConfig, derive_tasks
 
 TASK_ID = ingest.TASK_COLUMNS["task_id"]
 TARGETS_CSV_HEADER = [TASK_ID, *TARGET_NAMES, "N_SCOUTS", "CPU_FILTER_FALLBACK"]
 
 
-def _write_targets_csv(path: Path, rows: list[list]) -> None:
+def _write_targets_csv(path: Path, task_ids: list[str], values: dict[str, np.ndarray],
+                       n_scouts: np.ndarray, fallback: np.ndarray) -> None:
+    # .tolist() gives Python floats, which csv writes as repr(float)
+    columns = [task_ids, *(values[t].tolist() for t in TARGET_NAMES),
+               n_scouts.tolist(), fallback.astype(int).tolist()]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TARGETS_CSV_HEADER)
-        writer.writerows(rows)
+        writer.writerows(zip(*columns))
 
 
 def _read_targets_csv(path: Path) -> dict[str, dict[str, float]]:
@@ -68,12 +72,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     synth = simsynth.generate(spec)
     ingest.write_task_csv(synth.dataset, out / "tasks.csv")
     ingest.write_job_csv(synth.jobs, out / "jobs.csv")
-    rows = [
-        [rec.task_id] + [repr(float(synth.targets[t][i])) for t in TARGET_NAMES] + [0, 0]
-        for i, rec in enumerate(synth.dataset.records)
-    ]
-    _write_targets_csv(out / "targets.csv", rows)
-    print(f"wrote {len(synth.dataset)} tasks, {len(synth.jobs)} jobs to {out}")
+    n = len(synth.dataset)
+    _write_targets_csv(out / "targets.csv", [r.task_id for r in synth.dataset.records], synth.targets,
+                       np.zeros(n, dtype=int), np.zeros(n, dtype=bool))
+    print(f"wrote {n} tasks, {len(synth.jobs)} jobs to {out}")
     return 0
 
 
@@ -83,20 +85,12 @@ def cmd_derive(args: argparse.Namespace) -> int:
         print(f"warning: rejected {report.n_rejected}/{report.n_rows} job rows", file=sys.stderr)
     cfg = ResourceConfig(margin=args.margin, min_ram_count=args.min_ram)
     by_task = ingest.group_by_task(jobs)
-    rows = []
-    skipped = 0
-    for task_id in sorted(by_task):
-        pool = by_task[task_id]
-        scouts = pool if args.all_jobs else ([j for j in pool if j.is_scout] or pool)
-        usable = [j for j in scouts if j.n_events_job >= 1 and j.end_time > j.start_time]
-        if not usable:
-            skipped += 1
-            continue
-        agg = aggregate_scouts(usable, cfg)
-        values = [repr(getattr(agg.targets, f)) for _, _, f in TARGET_REGISTRY.values()]
-        rows.append([task_id, *values, agg.n_scouts, int(agg.cpu_fallback_all)])
-    _write_targets_csv(Path(args.out), rows)
-    print(f"derived targets for {len(rows)} tasks ({skipped} skipped) -> {args.out}")
+    task_ids = np.asarray(sorted(by_task))
+    values, n_scouts, fallback = derive_tasks(by_task, task_ids.tolist(), cfg, all_jobs=args.all_jobs)
+    keep = n_scouts > 0
+    _write_targets_csv(Path(args.out), task_ids[keep].tolist(), {t: v[keep] for t, v in values.items()},
+                       n_scouts[keep], fallback[keep])
+    print(f"derived targets for {keep.sum()} tasks ({(~keep).sum()} skipped) -> {args.out}")
     return 0
 
 

@@ -19,8 +19,9 @@ def embed_dim(v: int) -> int:
     """Embedding width for a vocabulary of v tokens: min(32, floor(log2 v) + 1)."""
     if v < 1:
         raise ValueError("vocabulary size must be >= 1")
-    # floor(log2 v) + 1 == bit_length for positive integers; avoids float log
-    return min(32, int(v).bit_length())
+    # floor(log2 v) + 1 == bit_length for positive integers; avoids float log and a min() call
+    w = int(v).bit_length()
+    return w if w < 32 else 32
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ train/val/test split and one encoder fitted on its training rows; train,
 val and test are encoded once each and shared by the four heads, which
 differ only in their label column, network and seed. So every test row is
 held out from all four heads, and the saved artifact carries one encoder.
+``evaluate_predictions`` scores given probabilities; ``evaluate_models`` predicts first.
 """
 
 from __future__ import annotations
@@ -166,12 +167,13 @@ class EvaluationReport:
         return out
 
 
-def evaluate_models(
-    models: Mapping[str, TargetModel],
-    labeled: Dataset,
-) -> EvaluationReport:
-    """Individual metrics per head plus the joint pipeline metrics."""
-    classes, probs = predict(dict(models), labeled.records)
+def evaluate_models(models: Mapping[str, TargetModel], labeled: Dataset) -> EvaluationReport:
+    """:func:`evaluate_predictions` on the heads' predictions for the labeled records."""
+    return evaluate_predictions(predict(dict(models), labeled.records)[1], labeled)
+
+
+def evaluate_predictions(probs: Mapping[str, np.ndarray], labeled: Dataset) -> EvaluationReport:
+    """Individual metrics per head plus the joint pipeline metrics, from (n, classes) probabilities."""
     per_target: dict[str, TargetEvaluation] = {}
     predictions: dict[str, np.ndarray] = {}
     labels: dict[str, np.ndarray] = {}
@@ -182,7 +184,7 @@ def evaluate_models(
         y_pred = p.argmax(axis=1)
         predictions[name] = y_pred
         labels[name] = y_true
-        k = models[name].bins.n_classes
+        k = p.shape[1]
         cm = ConfusionMatrix.from_labels(y_true, y_pred, k)
         per_target[name] = TargetEvaluation(
             target=name,

@@ -282,9 +282,12 @@ def record_from_request(doc: Mapping) -> TaskRecord:
     for name in features.values():      # every feature is present before any is parsed
         if name not in doc or doc[name] in ("", None):
             raise ValidationError(f"missing feature {name}", field_name=name)
+    for name in (TASK_COLUMNS["task_id"], *(c for f, c in features.items() if f not in NUMERIC_FEATURES)):
+        if not isinstance(doc.get(name, ""), str):     # a missing TASK_ID is allowed
+            raise ValidationError(f"{name} must be a string, got {doc[name]!r}", field_name=name)
     record = TaskRecord(
-        task_id=str(doc.get(TASK_COLUMNS["task_id"], "")),
-        **{f: _int_feature(doc, col) if f in NUMERIC_FEATURES else str(doc[col])
+        task_id=doc.get(TASK_COLUMNS["task_id"], ""),
+        **{f: _int_feature(doc, col) if f in NUMERIC_FEATURES else doc[col]
            for f, col in features.items()},
     )
     problem = record.validate()

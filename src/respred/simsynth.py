@@ -28,7 +28,7 @@ from .discretize import (
     TARGET_REGISTRY, BinSpec, ResourceClasses, assign_classes, class_to_allocation, classes_to_resource_classes,
 )
 from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies, group_by_task
-from .targets import ResourceConfig, aggregate_scouts
+from .targets import ResourceConfig, derive_tasks
 
 HOUR = 3600.0
 
@@ -289,17 +289,11 @@ Predictor = Callable[[Sequence[TaskRecord]], list[ResourceClasses]]
 
 
 def _scout_allocations(inputs: BrokerInputs) -> list[ResourceClasses]:
-    """Each task's classes from its scouts' aggregated targets (all its jobs when none is flagged)."""
-    by_task = inputs.jobs_by_task or {}
-    derived = {name: np.empty(len(inputs.records)) for name in TARGET_REGISTRY}
-    for i, record in enumerate(inputs.records):
-        jobs = by_task.get(record.task_id, [])
-        scouts = [j for j in jobs if j.is_scout] or jobs
-        if not scouts:
-            raise ValueError(f"scout mode requires job profiles (task {record.task_id})")
-        agg = aggregate_scouts(scouts, inputs.resource_config).targets
-        for name, (_, _, field_name) in TARGET_REGISTRY.items():
-            derived[name][i] = getattr(agg, field_name)
+    """Each task's classes from the targets of its usable scouts, chosen as ``respred derive`` does."""
+    task_ids = [r.task_id for r in inputs.records]
+    derived, n_scouts, _ = derive_tasks(inputs.jobs_by_task or {}, task_ids, inputs.resource_config)
+    if not n_scouts.all():
+        raise ValueError(f"scout mode requires job profiles (task {task_ids[n_scouts.argmin()]})")
     return classes_to_resource_classes(
         {name: assign_classes(values, inputs.bins[name]) for name, values in derived.items()}
     )

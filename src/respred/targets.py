@@ -5,14 +5,18 @@ Each task gets four targets: per-core RAM (MB), CPU time per event
 Per-job values come from closed-form arithmetic on the measured profile;
 task-level values aggregate the scout jobs of the task with fixed
 percentile rules (75th for RAM, 95th for CPU time, median for I/O).
+:func:`derive_tasks` chooses those jobs for ``respred derive`` and scout mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
+from .discretize import TARGET_REGISTRY
 from .ingest import JobProfile
 
 SIX_HOURS = 6 * 3600.0
@@ -172,3 +176,24 @@ def aggregate_scouts(scouts: Iterable[JobProfile], cfg: ResourceConfig) -> Scout
         n_scouts=len(scouts),
         n_cpu_scouts=len(cpu_scouts),
     )
+
+
+def derive_tasks(jobs_by_task: Mapping[str, Sequence[JobProfile]], task_ids: Sequence[str], cfg: ResourceConfig,
+                 all_jobs: bool = False) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Targets (name -> array aligned with task_ids), scout counts and CPU-filter fallbacks per task.
+
+    A task aggregates its flagged scouts (all its jobs if none is flagged or ``all_jobs`` is set) less
+    jobs with no events or no duration; a task with no job left gets NaN targets and 0 scouts.
+    """
+    values = {name: np.full(len(task_ids), np.nan) for name in TARGET_REGISTRY}
+    n_scouts, fallback = np.zeros(len(task_ids), dtype=int), np.zeros(len(task_ids), dtype=bool)
+    for i, task_id in enumerate(task_ids):
+        pool = jobs_by_task.get(task_id, [])
+        scouts = pool if all_jobs else ([j for j in pool if j.is_scout] or pool)
+        usable = [j for j in scouts if j.n_events_job >= 1 and j.end_time > j.start_time]
+        if usable:
+            agg = aggregate_scouts(usable, cfg)
+            for name, (_, _, field_name) in TARGET_REGISTRY.items():
+                values[name][i] = getattr(agg.targets, field_name)
+            n_scouts[i], fallback[i] = agg.n_scouts, agg.cpu_fallback_all
+    return values, n_scouts, fallback

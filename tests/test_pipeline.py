@@ -6,8 +6,8 @@ import struct
 import pytest
 
 from respred.discretize import TARGET_NAMES
-from respred.nnet import TrainConfig
-from respred.pipeline import train_all
+from respred.nnet import TrainConfig, predict
+from respred.pipeline import evaluate_models, evaluate_predictions, train_all
 from respred.service import load_artifact, save_artifact
 from respred.simsynth import GeneratorSpec, generate
 
@@ -49,3 +49,10 @@ def test_artifact_header_carries_one_encoder(trained, tmp_path):
     shared = loaded["RAMCOUNT"].encoder
     assert shared == models["RAMCOUNT"].encoder
     assert all(loaded[t].encoder is shared for t in TARGET_NAMES)
+
+
+def test_evaluate_models_is_predict_then_evaluate_predictions(trained):
+    models, details = trained
+    labeled = details["RAMCOUNT"].test
+    _, probs = predict(models, labeled.records)
+    assert evaluate_predictions(probs, labeled).as_dict() == evaluate_models(models, labeled).as_dict()

@@ -261,6 +261,31 @@ def test_predict_request_rejects_bad_feature(models, name, value):
     assert err.value.field == name
 
 
+@pytest.mark.parametrize("name, value", [
+    ("PROCESSINGTYPE", {"a": 1}),
+    ("FRAMEWORK", ["x"]),
+    ("FRAMEWORK", 5),
+    ("TASK_ID", 12),
+    ("TASK_ID", None),
+])
+def test_predict_request_refuses_non_string_field(models, name, value):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    doc = sample_request(synth.dataset.records[0])
+    doc[name] = value
+    with pytest.raises(ValidationError, match=name) as err:
+        predict_request(artifact, doc)
+    assert err.value.field == name
+
+
+def test_predict_request_task_id_optional(models):
+    models, synth = models
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    doc = sample_request(synth.dataset.records[0])
+    del doc["TASK_ID"]
+    assert predict_request(artifact, doc)["task_id"] == ""
+
+
 def test_predict_request_accepts_integral_spellings(models):
     models, synth = models
     artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
@@ -637,6 +662,16 @@ def test_http_predict_bad_feature_is_400(server):
     status, body = http_json(base + "/predict", doc)
     assert status == 400
     assert body["field"] == "NINPUT"
+
+
+def test_http_predict_non_string_field_is_400(server):
+    base, _, synth = server
+    doc = sample_request(synth.dataset.records[0])
+    doc.update(PROCESSINGTYPE={"a": 1}, FRAMEWORK=["x"], TASK_ID=12)
+    status, body = http_json(base + "/predict", doc)
+    assert status == 400
+    assert body["field"] in ("TASK_ID", "PROCESSINGTYPE", "FRAMEWORK")
+    assert body["field"] in body["error"]
 
 
 def test_http_never_sends_nan(server, monkeypatch):

@@ -169,6 +169,29 @@ def test_scout_mode_requires_jobs():
         simulate(inputs, "scout", SimConfig())
 
 
+def classes_of(targets, bins):
+    return ResourceClasses(
+        ram_class=assign_class(targets.ram_count, bins["RAMCOUNT"]),
+        cpu_class=assign_class(targets.cpu_time, bins["CPUTIME"]),
+        io_class=assign_class(targets.io_intensity, bins["IOINTENSITY"]),
+        wall_class=assign_class(targets.walltime, bins["WALLTIME"]),
+    )
+
+
+def scout_allocations(inputs, monkeypatch):
+    """The allocation that scout-mode simulation plays for each task, in record order."""
+    seen = {}
+    execute = simsynth._execute
+
+    def spy(inputs, task_index, alloc, *rest):
+        seen[task_index] = alloc
+        return execute(inputs, task_index, alloc, *rest)
+
+    monkeypatch.setattr(simsynth, "_execute", spy)
+    simulate(inputs, "scout", SimConfig(seed=5))
+    return [seen[i] for i in range(len(inputs.records))]
+
+
 def test_scout_allocations_equal_per_task_oracle(monkeypatch):
     inputs, _ = small_inputs(n_tasks=200, seed=9)
     # a task with no flagged scout falls back to all of its jobs; its jobs after
@@ -181,24 +204,25 @@ def test_scout_allocations_equal_per_task_oracle(monkeypatch):
     expected = []
     for record in inputs.records:
         jobs = inputs.jobs_by_task[record.task_id]
-        agg = aggregate_scouts([j for j in jobs if j.is_scout] or jobs, inputs.resource_config).targets
-        expected.append(ResourceClasses(
-            ram_class=assign_class(agg.ram_count, inputs.bins["RAMCOUNT"]),
-            cpu_class=assign_class(agg.cpu_time, inputs.bins["CPUTIME"]),
-            io_class=assign_class(agg.io_intensity, inputs.bins["IOINTENSITY"]),
-            wall_class=assign_class(agg.walltime, inputs.bins["WALLTIME"]),
-        ))
+        agg = aggregate_scouts([j for j in jobs if j.is_scout] or jobs, inputs.resource_config)
+        expected.append(classes_of(agg.targets, inputs.bins))
+    assert scout_allocations(inputs, monkeypatch) == expected
 
-    seen = {}
-    execute = simsynth._execute
 
-    def spy(inputs, task_index, alloc, *rest):
-        seen[task_index] = alloc
-        return execute(inputs, task_index, alloc, *rest)
-
-    monkeypatch.setattr(simsynth, "_execute", spy)
-    simulate(inputs, "scout", SimConfig(seed=5))
-    assert [seen[i] for i in range(len(inputs.records))] == expected
+def test_scout_mode_drops_zero_event_scout(monkeypatch):
+    inputs, _ = small_inputs(n_tasks=200, seed=9)
+    # three flagged scouts, one of them with no events and a RAM peak that
+    # would lift the task out of the lowest RAM class if it were aggregated
+    index, record = next(
+        (i, r) for i, r in enumerate(inputs.records)
+        if len(inputs.jobs_by_task[r.task_id]) >= 4 and inputs.true_classes[i].ram_class == 0
+    )
+    jobs = [dataclasses.replace(j, is_scout=k < 3) for k, j in enumerate(inputs.jobs_by_task[record.task_id])]
+    jobs[2] = dataclasses.replace(jobs[2], n_events_job=0, max_pss=jobs[2].max_pss * 50)
+    inputs.jobs_by_task[record.task_id] = jobs
+    expected = classes_of(aggregate_scouts(jobs[:2], inputs.resource_config).targets, inputs.bins)
+    assert expected.ram_class == 0
+    assert scout_allocations(inputs, monkeypatch)[index] == expected
 
 
 def test_simulation_deterministic():

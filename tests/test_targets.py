@@ -14,6 +14,7 @@ from respred.targets import (
     derive_cpu_time,
     derive_io_intensity,
     derive_ram_count,
+    derive_tasks,
     derive_walltime,
     _percentile,
 )
@@ -312,3 +313,37 @@ def test_aggregate_permutation_invariant():
 def test_aggregate_empty_rejected():
     with pytest.raises(ValueError):
         aggregate_scouts([], ResourceConfig())
+
+
+def test_derive_tasks_equals_aggregate_on_usable_scouts():
+    cfg = ResourceConfig()
+    flagged = [make_job(max_pss=9000.0 + 700 * k, end=3000.0 + 100 * k, scout=k < 3, task_id="a")
+               for k in range(6)]
+    zero_events = make_job(max_pss=400000.0, events=0, task_id="a")
+    zero_duration = make_job(max_pss=400000.0, end=0.0, task_id="a")
+    # 8 events < 10 * 4 cores and under 6 h: the CPU filter falls back to all
+    unflagged = [make_job(max_pss=4000.0 * (k + 1), events=8, scout=False, task_id="b") for k in range(3)]
+    jobs_by_task = {
+        "a": flagged + [zero_events, zero_duration],
+        "b": unflagged,
+        # its one flagged scout has no events and its other job no duration
+        "c": [make_job(events=0, task_id="c"), make_job(end=0.0, scout=False, task_id="c")],
+    }
+    ids = ["b", "absent", "a", "c"]
+    usable = {
+        False: {"a": flagged[:3], "b": unflagged},
+        True: {"a": flagged, "b": unflagged},
+    }
+    for all_jobs, expected in usable.items():
+        values, n_scouts, fallback = derive_tasks(jobs_by_task, ids, cfg, all_jobs=all_jobs)
+        assert list(values) == ["RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME"]
+        for i, task_id in enumerate(ids):
+            got = [v[i] for v in values.values()]
+            if task_id not in expected:
+                assert all(math.isnan(v) for v in got) and n_scouts[i] == 0 and not fallback[i], task_id
+                continue
+            agg = aggregate_scouts(expected[task_id], cfg)
+            t = agg.targets
+            assert got == [t.ram_count, t.cpu_time, t.io_intensity, t.walltime], (all_jobs, task_id)
+            assert (n_scouts[i], fallback[i]) == (agg.n_scouts, agg.cpu_fallback_all), (all_jobs, task_id)
+    assert fallback.tolist() == [True, False, False, False]
