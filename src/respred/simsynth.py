@@ -6,14 +6,16 @@ file counts, with a configurable residual noise), so a classifier has real
 signal to learn. It also synthesizes per-job execution profiles consistent
 with those targets, including flagged scout jobs.
 
-The simulator plays each task through the brokerage twice: in scout mode
-the resource decision waits for sampled scout completion (log-normal,
-calibrated to a 7-hour mean with a tail past 150 hours); in ml mode the
-decision costs a fixed sub-second latency. Misallocation follows a simple
-policy: under-allocated RAM fails mid-run and retries one tier up,
-under-allocated walltime is killed at the limit and retries one tier up,
-over-allocation accrues proportional waste. CPU-time and I/O classes do
-not alter turnaround.
+The simulator plays the task population through the brokerage twice: in
+scout mode the resource decision waits for sampled scout completion
+(log-normal, calibrated to a 7-hour mean with a tail past 150 hours); in
+ml mode the decision costs a fixed sub-second latency. It plays the whole
+population as class arrays, one tier per round. Each RAM round fails every
+task still under its true RAM class mid-run and retries it one tier up;
+each walltime round then kills every task at a limit under its runtime
+and retries it one tier up; then every task runs, and over-allocation
+accrues proportional waste. CPU-time and I/O classes do not alter
+turnaround.
 """
 
 from __future__ import annotations
@@ -24,11 +26,9 @@ from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
-from .discretize import (
-    TARGET_REGISTRY, BinSpec, ResourceClasses, assign_classes, class_to_allocation, classes_to_resource_classes,
-)
+from .discretize import TARGET_REGISTRY, BinSpec, ResourceClasses, assign_classes
 from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies, group_by_task
-from .targets import ResourceConfig, derive_tasks
+from .targets import ResourceConfig, derive_tasks, derive_walltime
 
 HOUR = 3600.0
 
@@ -147,8 +147,7 @@ def generate(spec: GeneratorSpec) -> SynthResult:
         # implied by the aggregated cpu time
         n_jobs = max(1, int(math.ceil(n_files / spec.files_per_job)))
         events_per_job = max(1, n_events // n_jobs)
-        wall = cpu * events_per_job / (cfg.walltime_C * cfg.walltime_P * cfg.cpu_efficiency)
-        wall = min(max(wall + cfg.base_time, cfg.min_time), cfg.max_time)
+        wall = derive_walltime(cpu, events_per_job, cfg)
 
         records.append(TaskRecord(
             task_id=task_id,
@@ -288,75 +287,66 @@ class BrokerInputs:
 Predictor = Callable[[Sequence[TaskRecord]], list[ResourceClasses]]
 
 
-def _scout_allocations(inputs: BrokerInputs) -> list[ResourceClasses]:
-    """Each task's classes from the targets of its usable scouts, chosen as ``respred derive`` does."""
+def _ram_wall_classes(classes: Sequence[ResourceClasses]) -> dict[str, np.ndarray]:
+    """RAM and walltime class arrays of per-task classes; the other two do not alter turnaround."""
+    return {name: np.array([getattr(c, TARGET_REGISTRY[name][1]) for c in classes], dtype=np.int64)
+            for name in ("RAMCOUNT", "WALLTIME")}
+
+
+def _scout_allocations(inputs: BrokerInputs) -> dict[str, np.ndarray]:
+    """Class arrays per target from each task's usable scouts, chosen as ``respred derive`` chooses them."""
     task_ids = [r.task_id for r in inputs.records]
     derived, n_scouts, _ = derive_tasks(inputs.jobs_by_task or {}, task_ids, inputs.resource_config)
     if not n_scouts.all():
         raise ValueError(f"scout mode requires job profiles (task {task_ids[n_scouts.argmin()]})")
-    return classes_to_resource_classes(
-        {name: assign_classes(values, inputs.bins[name]) for name, values in derived.items()}
-    )
+    return {name: assign_classes(values, inputs.bins[name]) for name, values in derived.items()}
 
 
 def _execute(
     inputs: BrokerInputs,
-    task_index: int,
-    alloc: ResourceClasses,
-    n_jobs: int,
+    alloc: dict[str, np.ndarray],
+    n_jobs: np.ndarray,
     fail_fraction: float,
-) -> tuple[float, int, float]:
-    """Play one task against the misallocation policy.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play every task against the misallocation policy, one class tier per round.
 
-    Returns (execution seconds including retries, retry count, wasted
-    core-hours). RAM under-allocation fails after fail-like half of the run
-    and retries one tier up; walltime under-allocation is killed at the
-    allocated limit. The open top walltime tier admits any runtime.
+    Returns per-task arrays: execution seconds including retries, retry
+    counts and wasted core-hours. Each RAM round fails every task still
+    under its true class after fail_fraction of its run; each walltime
+    round then kills every task below the open top tier whose limit is
+    under its runtime. Both retry one tier up. Last, every task runs to
+    completion and its over-allocation is charged, RAM before walltime.
     """
-    record = inputs.records[task_index]
-    truth = inputs.true_classes[task_index]
-    exec_seconds = float(inputs.true_targets["WALLTIME"][task_index])
-    cores = record.core_count * n_jobs
-    ram_bins = inputs.bins["RAMCOUNT"]
-    wall_bins = inputs.bins["WALLTIME"]
+    truth = _ram_wall_classes(inputs.true_classes)
+    seconds = np.asarray(inputs.true_targets["WALLTIME"], dtype=float)
+    cores = np.array([r.core_count for r in inputs.records]) * n_jobs
+    for name in truth:
+        if not inputs.bins[name].allocation_values:
+            raise ValueError(f"{inputs.bins[name].target_name}: bin spec carries no allocation values")
+    limits = {name: np.asarray(inputs.bins[name].allocation_values, dtype=float) for name in truth}
+    final = {name: alloc[name].copy() for name in truth}
+    elapsed, waste, retries = np.zeros_like(seconds), np.zeros_like(seconds), np.zeros_like(n_jobs)
 
-    elapsed = 0.0
-    retries = 0
-    waste_core_hours = 0.0
-    ram_class = alloc.ram_class
-    wall_class = alloc.wall_class
+    def retry(name: str, tasks: np.ndarray, lost: np.ndarray) -> None:
+        elapsed[tasks] += lost
+        waste[tasks] += lost * cores[tasks] / HOUR
+        retries[tasks] += 1
+        final[name][tasks] += 1
 
-    while True:
-        if ram_class < truth.ram_class:
-            lost = exec_seconds * fail_fraction
-            elapsed += lost
-            waste_core_hours += lost * cores / HOUR
-            retries += 1
-            ram_class += 1
-            continue
-        wall_limit = class_to_allocation(wall_class, wall_bins)
-        if wall_class < wall_bins.n_classes - 1 and wall_limit < exec_seconds:
-            elapsed += wall_limit
-            waste_core_hours += wall_limit * cores / HOUR
-            retries += 1
-            wall_class += 1
-            continue
-        elapsed += exec_seconds
-        break
+    while (short := np.flatnonzero(final["RAMCOUNT"] < truth["RAMCOUNT"])).size:
+        retry("RAMCOUNT", short, seconds[short] * fail_fraction)
+    wall, wall_limits, top = final["WALLTIME"], limits["WALLTIME"], inputs.bins["WALLTIME"].n_classes - 1
+    while (killed := np.flatnonzero((wall < top) & (wall_limits[wall] < seconds))).size:
+        retry("WALLTIME", killed, wall_limits[wall[killed]])
+    elapsed += seconds
 
     # over-allocation: the unneeded share of the occupied allocation,
     # charged in core-hour equivalents; zero exactly when the class is exact
-    for final, true_class, bins in (
-        (ram_class, truth.ram_class, ram_bins),
-        (wall_class, truth.wall_class, wall_bins),
-    ):
-        if final > true_class:
-            needed = class_to_allocation(true_class, bins)
-            allocated = class_to_allocation(final, bins)
-            if allocated > 0:
-                waste_core_hours += (allocated - needed) / allocated * exec_seconds * cores / HOUR
-
-    return elapsed, retries, waste_core_hours
+    for name, classes in final.items():
+        allocated, needed = limits[name][classes], limits[name][truth[name]]
+        over = np.flatnonzero((classes > truth[name]) & (allocated > 0))
+        waste[over] += (allocated[over] - needed[over]) / allocated[over] * seconds[over] * cores[over] / HOUR
+    return elapsed, retries, waste
 
 
 def simulate(
@@ -375,8 +365,10 @@ def simulate(
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "ml" and predictor is None and allocation_override is None:
         raise ValueError("ml mode requires a predictor")
-
     n = len(inputs.records)
+    if n == 0:
+        raise ValueError("cannot simulate an empty task population")
+
     rng = np.random.default_rng(cfg.seed)
     waits = rng.lognormal(cfg.scout_wait_mu, cfg.scout_wait_sigma, size=n)
     job_draws = np.maximum(
@@ -384,32 +376,21 @@ def simulate(
     ).astype(int)
 
     if allocation_override is not None:
-        allocations = list(allocation_override)
-        if len(allocations) != n:
+        allocations = _ram_wall_classes(allocation_override)
+        if len(allocations["RAMCOUNT"]) != n:
             raise ValueError("allocation_override must cover every task")
     elif mode == "ml":
-        allocations = predictor(inputs.records)
+        allocations = _ram_wall_classes(predictor(inputs.records))
     else:
         allocations = _scout_allocations(inputs)
 
-    turnaround = np.zeros(n)
-    decisions = np.zeros(n)
-    retries_total = 0
-    waste_total = 0.0
+    jobs = inputs.jobs_by_task or {}
+    n_jobs = np.array([len(jobs[r.task_id]) if r.task_id in jobs else draw
+                       for r, draw in zip(inputs.records, job_draws)], dtype=np.int64)
+    exec_time, retries, waste = _execute(inputs, allocations, n_jobs, cfg.fail_fraction)
+    decisions = waits if mode == "scout" else np.full(n, float(cfg.ml_latency))
 
-    for i in range(n):
-        if inputs.jobs_by_task is not None and inputs.records[i].task_id in inputs.jobs_by_task:
-            n_jobs = len(inputs.jobs_by_task[inputs.records[i].task_id])
-        else:
-            n_jobs = int(job_draws[i])
-        decision = waits[i] if mode == "scout" else cfg.ml_latency
-        exec_time, retries, waste = _execute(inputs, i, allocations[i], n_jobs, cfg.fail_fraction)
-        turnaround[i] = decision + exec_time
-        decisions[i] = decision
-        retries_total += retries
-        waste_total += waste
-
-    turnaround_h = turnaround / HOUR
+    turnaround_h = (decisions + exec_time) / HOUR
     decisions_h = decisions / HOUR
     return SimReport(
         mode=mode,
@@ -417,8 +398,9 @@ def simulate(
         mean_turnaround_hours=float(turnaround_h.mean()),
         median_turnaround_hours=float(np.median(turnaround_h)),
         p95_turnaround_hours=float(np.percentile(turnaround_h, 95)),
-        failure_retries=retries_total,
-        wasted_core_hours=waste_total,
+        failure_retries=int(retries.sum()),
+        # a running total in task order: np.sum's pairwise order rounds differently
+        wasted_core_hours=float(np.add.accumulate(waste)[-1]),
         mean_decision_hours=float(decisions_h.mean()),
         decision_latency_hours=decisions_h,
         turnaround_hours=turnaround_h,

@@ -182,17 +182,17 @@ def derive_tasks(jobs_by_task: Mapping[str, Sequence[JobProfile]], task_ids: Seq
                  all_jobs: bool = False) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
     """Targets (name -> array aligned with task_ids), scout counts and CPU-filter fallbacks per task.
 
-    A task aggregates its flagged scouts (all its jobs if none is flagged or ``all_jobs`` is set) less
-    jobs with no events or no duration; a task with no job left gets NaN targets and 0 scouts.
+    A task aggregates its usable jobs, those with events and a duration: its usable flagged scouts, or
+    all of them if none of its flagged scouts is usable or ``all_jobs`` is set. A task with no usable
+    job gets NaN targets and 0 scouts.
     """
     values = {name: np.full(len(task_ids), np.nan) for name in TARGET_REGISTRY}
     n_scouts, fallback = np.zeros(len(task_ids), dtype=int), np.zeros(len(task_ids), dtype=bool)
     for i, task_id in enumerate(task_ids):
-        pool = jobs_by_task.get(task_id, [])
-        scouts = pool if all_jobs else ([j for j in pool if j.is_scout] or pool)
-        usable = [j for j in scouts if j.n_events_job >= 1 and j.end_time > j.start_time]
-        if usable:
-            agg = aggregate_scouts(usable, cfg)
+        usable = [j for j in jobs_by_task.get(task_id, []) if j.n_events_job >= 1 and j.end_time > j.start_time]
+        scouts = usable if all_jobs else ([j for j in usable if j.is_scout] or usable)
+        if scouts:
+            agg = aggregate_scouts(scouts, cfg)
             for name, (_, _, field_name) in TARGET_REGISTRY.items():
                 values[name][i] = getattr(agg.targets, field_name)
             n_scouts[i], fallback[i] = agg.n_scouts, agg.cpu_fallback_all

@@ -153,6 +153,20 @@ def test_simulate_both_modes(workdir):
     assert report_path.with_suffix(".txt").exists()
 
 
+@pytest.mark.parametrize("mode", ["both", "scout", "ml"])
+def test_simulate_header_only_tasks_exits_1_in_one_line(workdir, tmp_path, capsys, mode):
+    tasks = tmp_path / "tasks.csv"
+    tasks.write_text((workdir / "tasks.csv").read_text().splitlines()[0] + "\n")
+    code = main([
+        "simulate", "--mode", mode,
+        "--tasks", str(tasks), "--targets", str(workdir / "targets.csv"),
+        "--jobs", str(workdir / "jobs.csv"), "--model-dir", str(workdir / "artifact.rpa"),
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.count("\n") == 1 and "empty task population" in err
+
+
 def test_simulate_scout_requires_jobs(workdir):
     with pytest.raises(SystemExit) as err:
         main([

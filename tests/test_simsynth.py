@@ -2,14 +2,16 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from respred import simsynth
-from respred.discretize import ResourceClasses, assign_class
+from respred.discretize import ResourceClasses, assign_class, class_to_allocation, classes_to_resource_classes
 from respred.pipeline import fit_all_bins, label_dataset
 from respred.simsynth import (
+    HOUR,
     BrokerInputs,
     GeneratorSpec,
     SimConfig,
@@ -180,16 +182,16 @@ def classes_of(targets, bins):
 
 def scout_allocations(inputs, monkeypatch):
     """The allocation that scout-mode simulation plays for each task, in record order."""
-    seen = {}
-    execute = simsynth._execute
+    seen = []
+    allocations = simsynth._scout_allocations
 
-    def spy(inputs, task_index, alloc, *rest):
-        seen[task_index] = alloc
-        return execute(inputs, task_index, alloc, *rest)
+    def spy(inputs):
+        seen.append(allocations(inputs))
+        return seen[-1]
 
-    monkeypatch.setattr(simsynth, "_execute", spy)
+    monkeypatch.setattr(simsynth, "_scout_allocations", spy)
     simulate(inputs, "scout", SimConfig(seed=5))
-    return [seen[i] for i in range(len(inputs.records))]
+    return classes_to_resource_classes(seen[0])
 
 
 def test_scout_allocations_equal_per_task_oracle(monkeypatch):
@@ -223,6 +225,144 @@ def test_scout_mode_drops_zero_event_scout(monkeypatch):
     expected = classes_of(aggregate_scouts(jobs[:2], inputs.resource_config).targets, inputs.bins)
     assert expected.ram_class == 0
     assert scout_allocations(inputs, monkeypatch)[index] == expected
+
+
+def test_scout_mode_falls_back_to_usable_jobs_as_derive_does(monkeypatch):
+    inputs, _ = small_inputs(n_tasks=200, seed=9)
+    # both flagged scouts lack events; the task's other jobs are usable
+    index, record = next((i, r) for i, r in enumerate(inputs.records) if len(inputs.jobs_by_task[r.task_id]) >= 4)
+    jobs = [dataclasses.replace(j, is_scout=k < 2, n_events_job=0 if k < 2 else j.n_events_job)
+            for k, j in enumerate(inputs.jobs_by_task[record.task_id])]
+    inputs.jobs_by_task[record.task_id] = jobs
+    expected = classes_of(aggregate_scouts(jobs[2:], inputs.resource_config).targets, inputs.bins)
+    assert scout_allocations(inputs, monkeypatch)[index] == expected
+
+
+def reference_execute(inputs, task_index, alloc, n_jobs, fail_fraction):
+    """One task replayed against the misallocation policy, a retry at a time: the oracle for the tier rounds."""
+    record = inputs.records[task_index]
+    truth = inputs.true_classes[task_index]
+    exec_seconds = float(inputs.true_targets["WALLTIME"][task_index])
+    cores = record.core_count * n_jobs
+    ram_bins = inputs.bins["RAMCOUNT"]
+    wall_bins = inputs.bins["WALLTIME"]
+
+    elapsed = 0.0
+    retries = 0
+    waste_core_hours = 0.0
+    ram_class = alloc.ram_class
+    wall_class = alloc.wall_class
+
+    while True:
+        if ram_class < truth.ram_class:
+            lost = exec_seconds * fail_fraction
+            elapsed += lost
+            waste_core_hours += lost * cores / HOUR
+            retries += 1
+            ram_class += 1
+            continue
+        wall_limit = class_to_allocation(wall_class, wall_bins)
+        if wall_class < wall_bins.n_classes - 1 and wall_limit < exec_seconds:
+            elapsed += wall_limit
+            waste_core_hours += wall_limit * cores / HOUR
+            retries += 1
+            wall_class += 1
+            continue
+        elapsed += exec_seconds
+        break
+
+    for final, true_class, bins in (
+        (ram_class, truth.ram_class, ram_bins),
+        (wall_class, truth.wall_class, wall_bins),
+    ):
+        if final > true_class:
+            needed = class_to_allocation(true_class, bins)
+            allocated = class_to_allocation(final, bins)
+            if allocated > 0:
+                waste_core_hours += (allocated - needed) / allocated * exec_seconds * cores / HOUR
+
+    return elapsed, retries, waste_core_hours
+
+
+def noisy_predictor(inputs, seed):
+    """Moves each class of each task one tier either way, or keeps it, with probability 0.3."""
+    rng = np.random.default_rng(seed)
+    lookup = {r.task_id: c for r, c in zip(inputs.records, inputs.true_classes)}
+
+    def predict(records):
+        out = []
+        for r in records:
+            d = lookup[r.task_id].as_dict()
+            for t in TARGETS:
+                if rng.random() < 0.3:
+                    d[t] = int(np.clip(d[t] + rng.integers(-1, 2), 0, inputs.bins[t].n_classes - 1))
+            out.append(ResourceClasses.from_dict(d))
+        return out
+
+    return predict
+
+
+@pytest.mark.parametrize("case", [
+    "scout", "perfect", "RAMCOUNT-1", "RAMCOUNT+1", "WALLTIME-1", "WALLTIME+1", "noisy",
+])
+def test_tier_rounds_equal_per_task_oracle(case, monkeypatch):
+    inputs, _ = small_inputs()
+    if case == "scout":
+        mode, kwargs, allocations = "scout", {}, scout_allocations(inputs, monkeypatch)
+    else:
+        if case == "perfect":
+            base = perfect_predictor(inputs)
+        elif case == "noisy":
+            base = noisy_predictor(inputs, seed=8)
+        else:
+            base = shifted_predictor(inputs, case[:-2], int(case[-2:]))
+        allocations = []
+
+        def predictor(records):
+            allocations.extend(base(records))
+            return allocations
+
+        mode, kwargs = "ml", {"predictor": predictor}
+    played = []
+    execute = simsynth._execute
+
+    def spy(*args):
+        played.append(execute(*args))
+        return played[-1]
+
+    monkeypatch.setattr(simsynth, "_execute", spy)
+    report = simulate(inputs, mode, SimConfig(seed=3), **kwargs)
+
+    (elapsed, retries, waste), = played
+    expected = [
+        reference_execute(inputs, i, alloc, len(inputs.jobs_by_task[r.task_id]), SimConfig.fail_fraction)
+        for i, (r, alloc) in enumerate(zip(inputs.records, allocations))
+    ]
+    assert elapsed.tolist() == [e for e, _, _ in expected]
+    assert retries.tolist() == [n for _, n, _ in expected]
+    assert waste.tolist() == [w for _, _, w in expected]
+    assert report.failure_retries == sum(n for _, n, _ in expected)
+    total = 0.0
+    for _, _, w in expected:
+        total += w
+    assert report.wasted_core_hours == total
+
+
+def test_empty_population_is_refused_before_any_draw():
+    inputs, _ = small_inputs(n_tasks=10)
+    empty = dataclasses.replace(inputs, records=[], true_classes=[],
+                                true_targets={t: np.zeros(0) for t in TARGETS})
+    cfg = SimConfig()
+    calls = (
+        lambda: simulate(empty, "scout", cfg),
+        lambda: simulate(empty, "ml", cfg, predictor=perfect_predictor(empty)),
+        lambda: compare(empty, cfg, predictor=perfect_predictor(empty)),
+    )
+    for call in calls:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="empty task population"):
+                call()
 
 
 def test_simulation_deterministic():

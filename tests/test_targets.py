@@ -347,3 +347,14 @@ def test_derive_tasks_equals_aggregate_on_usable_scouts():
             assert got == [t.ram_count, t.cpu_time, t.io_intensity, t.walltime], (all_jobs, task_id)
             assert (n_scouts[i], fallback[i]) == (agg.n_scouts, agg.cpu_fallback_all), (all_jobs, task_id)
     assert fallback.tolist() == [True, False, False, False]
+
+
+def test_derive_tasks_falls_back_to_usable_jobs_when_no_flagged_scout_is():
+    cfg = ResourceConfig()
+    unflagged = [make_job(max_pss=5000.0 * (k + 1), scout=False, task_id="d") for k in range(3)]
+    jobs = [make_job(events=0, task_id="d"), make_job(end=0.0, task_id="d"), *unflagged]
+    t = aggregate_scouts(unflagged, cfg).targets
+    for all_jobs in (False, True):
+        values, n_scouts, _ = derive_tasks({"d": jobs}, ["d"], cfg, all_jobs=all_jobs)
+        assert [v[0] for v in values.values()] == [t.ram_count, t.cpu_time, t.io_intensity, t.walltime]
+        assert n_scouts.tolist() == [3]
