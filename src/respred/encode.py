@@ -74,9 +74,9 @@ class EncodedBatch:
         )
 
 
-def _transform(values: np.ndarray, transform: str) -> np.ndarray:
+def _transform(values: np.ndarray, transform: str, out: Optional[np.ndarray] = None) -> np.ndarray:
     if transform == "log1p":
-        return np.log1p(values)
+        return np.log1p(values, out=out)
     if transform == "identity":
         return values
     raise ValueError(f"unknown numeric transform {transform!r}")
@@ -133,15 +133,14 @@ def encode(
             dtype=np.int64,
         )
 
-    if spec.numeric:
-        cols = []
-        for nspec in spec.numeric:
-            raw = np.asarray([getattr(r, nspec.name) for r in records], dtype=float)
-            values = _transform(raw, nspec.transform)
-            cols.append((values - nspec.mean) / nspec.stddev)
-        matrix = np.column_stack(cols)
-    else:
-        matrix = np.zeros((n, 0), dtype=float)
+    # one row per numeric feature, transformed in place and standardized in one pass
+    cols = np.array([[getattr(r, nspec.name) for r in records] for nspec in spec.numeric],
+                    dtype=float).reshape(len(spec.numeric), n)
+    for values, nspec in zip(cols, spec.numeric):
+        _transform(values, nspec.transform, out=values)
+    cols -= np.array([nspec.mean for nspec in spec.numeric])[:, None]
+    cols /= np.array([nspec.stddev for nspec in spec.numeric])[:, None]
+    matrix = np.ascontiguousarray(cols.T)
 
     if labels is not None:
         labels = np.asarray(labels, dtype=np.int64)

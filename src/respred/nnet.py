@@ -34,6 +34,14 @@ of one forward call share a scratch set of their own, so concurrent
 predictions on one network are safe; only the masks an "mc" caller draws
 with make_dropout_masks live there.
 
+``predict`` does not run ``forward``. On a model's first predict it folds
+each hidden layer's batch normalization, an affine map under the running
+statistics, into the dense weights and bias, and keeps those layers on the
+TargetModel; so a model's params and running statistics must not change in
+place after its first predict. The four heads and the row blocks of one
+predict call share one scratch set. ``forward`` stays the reference, and
+the finite-difference checks change params in place between its calls.
+
 Train mode leaves the dense bias out: batch normalization subtracts the
 batch mean, which cancels any per-unit bias exactly, so ``z = x @ W`` and the
 running mean tracks ``mean(z) + b`` instead. Inference computes
@@ -46,7 +54,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -193,10 +201,10 @@ def make_dropout_masks(
 def _concat_inputs(net: Network, batch: EncodedBatch, out: Optional[np.ndarray] = None) -> np.ndarray:
     segments = []
     for name, vocab, _dim in net.cat_features:
-        idx = batch.categorical_indices[name]
-        if idx.max(initial=0) >= vocab:
-            raise ValueError(f"{name}: index exceeds vocabulary size {vocab}")
-        segments.append(net.params[f"emb:{name}"][idx])
+        try:
+            segments.append(net.params[f"emb:{name}"][batch.categorical_indices[name]])
+        except IndexError:
+            raise ValueError(f"{name}: index exceeds vocabulary size {vocab}") from None
     segments.append(batch.numeric_matrix)
     width = sum(s.shape[1] for s in segments)
     if width != net.input_width:
@@ -269,15 +277,20 @@ def _forward_cached(
         layers.append({"x_in": x, "xhat": xhat, "gate": gate, "mu": mu, "var": var, "inv_std": inv_std})
         x = out
 
-    logits = x @ net.params["out:W"] + net.params["out:b"]
-    if net.binary:
-        p = 1.0 / (1.0 + np.exp(-logits[:, 0]))
-        probs = np.column_stack([1.0 - p, p])
-    else:
-        logits -= logits.max(axis=1, keepdims=True)
-        probs = np.exp(logits, out=logits)
-        probs /= probs.sum(axis=1, keepdims=True)
+    probs = _probabilities(x @ net.params["out:W"] + net.params["out:b"], net.binary)
     return probs, {"layers": layers, "x_last": x}
+
+
+def _probabilities(logits: np.ndarray, binary: bool) -> np.ndarray:
+    """Row-wise softmax, written over logits; a binary head's one logit gives [1 - p, p]."""
+    if binary:
+        p = 1.0 / (1.0 + np.exp(-logits))
+        return np.concatenate([1.0 - p, p], axis=1)
+    # the ufuncs' own reductions: ndarray.max and .sum call them through a Python wrapper
+    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    return probs
 
 
 def forward(
@@ -300,16 +313,37 @@ def forward(
     does not grow with the row count beyond the (rows, classes) result.
     Train mode always runs the whole batch, whose statistics it needs.
     """
-    n = batch.row_count
     if dropout_masks is not None and mode != "inference":
-        _check_masks(net, n, dropout_masks)
-    if mode == "train" or n <= INFERENCE_BLOCK_ROWS:
+        _check_masks(net, batch.row_count, dropout_masks)
+    if mode == "train":
         probs, _ = _forward_cached(net, batch, mode, dropout_masks)
         return probs
-    probs = np.empty((n, net.n_classes))
-    # the blocks reuse one set of activation arrays: with fresh ones, each block's
-    # megabytes go back to the OS and fault in again
-    scratch: dict = {}
+
+    def run(block: EncodedBatch, rows: slice, scratch: dict) -> np.ndarray:
+        masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]
+        return _forward_cached(net, block, mode, masks, scratch)[0]
+
+    return _in_blocks(batch, net.n_classes, {}, run)
+
+
+def _in_blocks(
+    batch: EncodedBatch,
+    n_classes: int,
+    scratch: dict,
+    run: Callable[[EncodedBatch, slice, dict], np.ndarray],
+) -> np.ndarray:
+    """Class probabilities of a batch, computed by ``run(block, rows, scratch)``.
+
+    A batch of at most INFERENCE_BLOCK_ROWS rows is one block; a larger one
+    runs as consecutive blocks of that many rows, each a view of the batch,
+    whose probabilities are written into one output array. Every block
+    writes its activations into ``scratch``: with fresh arrays, each block's
+    megabytes would go back to the OS and fault in again.
+    """
+    n = batch.row_count
+    if n <= INFERENCE_BLOCK_ROWS:
+        return run(batch, slice(None), scratch)
+    probs = np.empty((n, n_classes))
     for start in range(0, n, INFERENCE_BLOCK_ROWS):
         rows = slice(start, start + INFERENCE_BLOCK_ROWS)
         n_block = min(n - start, INFERENCE_BLOCK_ROWS)
@@ -321,8 +355,7 @@ def forward(
             numeric_matrix=batch.numeric_matrix[rows],
             row_count=n_block,
         )
-        masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]
-        probs[rows], _ = _forward_cached(net, block, mode, masks, scratch)
+        probs[rows] = run(block, rows, scratch)
     return probs
 
 
@@ -637,13 +670,22 @@ def train(
 
 @dataclass
 class TargetModel:
-    """One trained head bundled with the specs its inputs were built from."""
+    """One trained head bundled with the specs its inputs were built from.
+
+    The first ``predict`` on a model folds its network's batch normalization
+    into the dense layers and keeps the result, so the network's params and
+    running statistics must not be changed in place after that call; build a
+    new TargetModel around a network that changed.
+    """
 
     target: str
     net: Network
     encoder: EncoderSpec
     bins: BinSpec
     train_summary: dict = field(default_factory=dict)
+    # (W, b) per dense layer with batch norm folded in, output layer last; see _fold
+    folded: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.net.input_width != self.encoder.input_width:
@@ -658,6 +700,40 @@ class TargetModel:
             )
 
 
+def _fold(net: Network) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The network's inference layers as (W, b) pairs, batch norm folded in.
+
+    Inference normalizes ``x @ W + b`` with the running statistics, so with
+    ``s = gamma / sqrt(var + eps)`` a hidden layer is
+    ``relu(x @ (W * s) + ((b - mean) * s + beta))``: one matmul, one add and
+    one ReLU. The output layer follows as it is.
+    """
+    layers = []
+    for i in range(len(net.hidden)):
+        W, b, gamma, beta = (net.params[f"dense{i}:{k}"] for k in ("W", "b", "gamma", "beta"))
+        s = gamma / np.sqrt(net.running[f"dense{i}:var"] + BN_EPS)
+        layers.append((W * s, (b - net.running[f"dense{i}:mean"]) * s + beta))
+    layers.append((net.params["out:W"].copy(), net.params["out:b"].copy()))
+    return tuple(layers)
+
+
+def _folded_probs(
+    net: Network,
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...],
+    batch: EncodedBatch,
+    scratch: dict,
+) -> np.ndarray:
+    """Class probabilities of ``forward(net, batch)`` through the folded layers."""
+    n = batch.row_count
+    x = _concat_inputs(net, batch, out=_buffer(scratch, "x0", (n, net.input_width)))
+    *hidden, (W_out, b_out) = layers
+    for i, (W, b) in enumerate(hidden):
+        x = np.matmul(x, W, out=_buffer(scratch, f"out{i}", (n, W.shape[1])))
+        x += b
+        np.maximum(x, 0.0, out=x)
+    return _probabilities(x @ W_out + b_out, net.binary)
+
+
 def predict(
     models: dict[str, TargetModel],
     records: Sequence,
@@ -666,8 +742,12 @@ def predict(
 
     The records are encoded once per distinct encoder object, so heads that
     share an encoder (every model set from train_all or load_artifact) share
-    one encoded batch. Returns per-record ResourceClasses (argmax per target,
-    lowest index on ties) and the full probability matrix per target.
+    one encoded batch. Each head runs through its folded layers
+    (``TargetModel.folded``, made on the model's first predict), in row
+    blocks as ``forward`` runs, and the heads and blocks of one call share
+    one scratch set. The probabilities equal ``forward``'s up to rounding.
+    Returns per-record ResourceClasses (argmax per target, lowest index on
+    ties) and the full probability matrix per target.
     """
     missing = set(TARGET_NAMES) - set(models)
     if missing:
@@ -676,11 +756,17 @@ def predict(
     batches: dict[int, EncodedBatch] = {}
     probs: dict[str, np.ndarray] = {}
     classes: dict[str, np.ndarray] = {}
+    scratch: dict = {}
     for target, model in models.items():
         key = id(model.encoder)
         if key not in batches:
             batches[key] = encode(records, model.encoder)
-        p = forward(model.net, batches[key], mode="inference")
+        if model.folded is None:
+            # two threads may both fold a new model; they store equal layers
+            model.folded = _fold(model.net)
+        net, layers = model.net, model.folded
+        p = _in_blocks(batches[key], net.n_classes, scratch,
+                       lambda block, _rows, shared: _folded_probs(net, layers, block, shared))
         probs[target] = p
         classes[target] = p.argmax(axis=1)
     return classes_to_resource_classes(classes), probs

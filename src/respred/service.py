@@ -7,7 +7,11 @@ round-trip is bit-identical regardless of platform defaults. The service
 exposes POST /predict, POST /feedback, GET /health and GET /metrics-summary
 over plain HTTP/JSON; a request body over MAX_BODY_BYTES is refused with 413
 before it is read, and one that falls short of its Content-Length for
-READ_TIMEOUT_S gets a 408 and a closed connection. Feedback is appended to
+READ_TIMEOUT_S gets a 408. The service speaks HTTP/1.1 with keep-alive, one
+thread per open connection, and writes each response in one socket write.
+A connection closes after an HTTP/1.0 request, a Connection: close, any
+response sent while the request's body is unread, or READ_TIMEOUT_S idle
+between requests (without a response). Feedback is appended to
 a JSONL log, each line marked with whether its task is among the last
 MAX_TRACKED_TASKS predicted by this process, and folded into per-target
 agreement counters; a restarted service replays the log into its counters.
@@ -43,7 +47,7 @@ FORMAT_VERSION = 2
 BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
 MAX_BODY_BYTES = 1 << 20     # a request body is a few hundred bytes
-READ_TIMEOUT_S = 10.0        # socket timeout per request; a body cut short gets a 408
+READ_TIMEOUT_S = 10.0        # socket timeout: a body cut short gets a 408, an idle connection closes
 # Predicted ids kept for feedback's known_task, oldest dropped first (~15 MB). The window
 # must hold predicts/s x feedback delay; at the synthetic generator's p95 delay (293 h) it
 # holds up to ~0.09 predicts/s. Unverified against real PanDA traffic (see README).
@@ -471,17 +475,36 @@ class PredictionService:
 
 class _Handler(BaseHTTPRequestHandler):
     service: PredictionService   # set by make_server
-    timeout = READ_TIMEOUT_S     # applied to the connection's socket by StreamRequestHandler.setup
+    # HTTP/1.1: a connection stays open for the client's next request, unless the
+    # client is HTTP/1.0 or sends Connection: close
+    protocol_version = "HTTP/1.1"
+    # applied to the connection's socket by StreamRequestHandler.setup: a body cut short
+    # gets a 408, and a connection idle between requests is closed without a response
+    timeout = READ_TIMEOUT_S
 
     def _send(self, code: int, payload: dict) -> None:
         body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        if self.request_version == "HTTP/0.9":     # no status line and no headers
+            self.wfile.write(body)
+            return
         self.send_response(code)
         self.send_header("Content-Type", "application/json; charset=utf-8")
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if self.close_connection or self.request_version != "HTTP/1.1":
+            self.send_header("Connection", "close")     # also sets close_connection
+        # the body joins the buffered status line and headers, so the response leaves in
+        # one socket write: a second write would wait, by Nagle's algorithm, for the
+        # client's delayed ACK of the first (about 40 ms)
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _read_json(self) -> dict:
+        # an error sent before the whole body is read closes the connection: the unread
+        # bytes would otherwise be parsed as the next request
+        close_after_body, self.close_connection = self.close_connection, True
+        if "Transfer-Encoding" in self.headers:
+            raise ValidationError("Transfer-Encoding is not supported; send a Content-Length",
+                                  field_name="Transfer-Encoding")
         declared = self.headers.get("Content-Length", "0").strip()
         if not (declared.isascii() and declared.isdigit()):
             raise ValidationError(
@@ -500,6 +523,7 @@ class _Handler(BaseHTTPRequestHandler):
                 f"request body shorter than its Content-Length of {length} bytes after {self.timeout} s",
                 field_name="Content-Length",
             ) from None
+        self.close_connection = close_after_body
         try:
             doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
@@ -509,6 +533,8 @@ class _Handler(BaseHTTPRequestHandler):
         return doc
 
     def do_GET(self) -> None:  # noqa: N802 (http.server API)
+        if "Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0").strip() != "0":
+            self.close_connection = True     # a GET's body is never read
         if self.path == "/health":
             artifact = self.service.artifact
             if artifact is None:
@@ -534,7 +560,6 @@ class _Handler(BaseHTTPRequestHandler):
         except BodyTooLargeError as exc:
             self._send(413, {"error": str(exc), "field": exc.field})
         except BodyTimeoutError as exc:
-            self.close_connection = True     # the rest of the body may still arrive
             self._send(408, {"error": str(exc), "field": exc.field})
         except ValidationError as exc:
             self._send(400, {"error": str(exc), "field": exc.field})

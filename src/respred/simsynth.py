@@ -381,6 +381,9 @@ def simulate(
             raise ValueError("allocation_override must cover every task")
     elif mode == "ml":
         allocations = _ram_wall_classes(predictor(inputs.records))
+        if (returned := len(allocations["RAMCOUNT"])) != n:
+            name = getattr(predictor, "__qualname__", repr(predictor))
+            raise ValueError(f"predictor {name} returned {returned} classes for {n} tasks")
     else:
         allocations = _scout_allocations(inputs)
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from respred.discretize import ResourceClasses
-from respred.encode import embed_dim
+from respred.encode import embed_dim, encode
 from respred.ingest import JobProfile
 from respred.metrics import (
     ConfusionMatrix,
@@ -416,6 +416,18 @@ def test_criterion_8_serving(tmp_path):
         finally:
             httpd.shutdown()
             httpd.server_close()
+
+
+def test_predict_matches_inference_forward_on_trained_heads():
+    # predict runs batch-norm-folded layers; forward normalizes with the running statistics
+    cache = trained_pipeline()
+    records = cache["synth"].dataset.records
+    classes, probs = predict(cache["models"], records)
+    for target, model in cache["models"].items():
+        expected = forward(model.net, encode(records, model.encoder), mode="inference")
+        assert np.abs(probs[target] - expected).max() <= 1e-12, target
+        assert np.array_equal(probs[target].argmax(axis=1), expected.argmax(axis=1)), target
+    assert len(classes) == len(records) == 10_000
 
 
 def test_criterion_9_determinism(tmp_path):

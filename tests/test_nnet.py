@@ -73,6 +73,14 @@ def relative_error(analytic, numeric):
 
 # --- forward contracts
 
+@pytest.mark.parametrize("mode", ["train", "inference"])
+def test_index_beyond_vocabulary_is_refused(mode):
+    batch = tiny_batch(np.random.default_rng(53), n_rows=3)
+    batch.categorical_indices["framework"][1] = 3      # the vocabulary has 3 tokens
+    with pytest.raises(ValueError, match="framework: index exceeds vocabulary size 3"):
+        forward(tiny_net(), batch, mode=mode)
+
+
 def test_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     net = tiny_net()
@@ -685,6 +693,32 @@ def test_predict_single_equals_batch():
         _, single = predict(models, [rec])
         for t in batch_probs:
             assert np.allclose(single[t][0], batch_probs[t][i], atol=1e-12)
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 3, 4, 5, 11])
+def test_predict_folded_layers_equal_inference_forward(monkeypatch, n_rows):
+    # blocks of 4 rows put 4 and 5 on either side of the block edge; the four
+    # heads cover multi-class and binary outputs
+    monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(52)
+    models = make_models(seed=7)
+    for model in models.values():
+        net = model.net
+        for i, width in enumerate(net.hidden):
+            for name in ("b", "beta"):
+                net.params[f"dense{i}:{name}"] = rng.normal(0.0, 0.5, width)
+            net.params[f"dense{i}:gamma"] = rng.uniform(0.5, 1.5, width)
+            net.running[f"dense{i}:mean"] = rng.normal(0.0, 0.5, width)
+            net.running[f"dense{i}:var"] = rng.uniform(0.5, 2.0, width)
+    recs = records(n_rows, rng)
+    classes, probs = predict(models, recs)
+    assert len(classes) == n_rows
+    for target, model in models.items():
+        expected = forward(model.net, encode(recs, model.encoder), mode="inference")
+        assert probs[target].shape == expected.shape == (n_rows, model.net.n_classes)
+        assert np.abs(probs[target] - expected).max(initial=0.0) <= 1e-12
+        assert np.array_equal(probs[target].argmax(axis=1), expected.argmax(axis=1))
+        assert [c.as_dict()[target] for c in classes] == expected.argmax(axis=1).tolist()
 
 
 def test_predict_missing_target_rejected():

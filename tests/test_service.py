@@ -2,10 +2,12 @@
 
 import hashlib
 import http.client
+import io
 import json
 import socket
 import struct
 import threading
+import time
 import urllib.parse
 import urllib.request
 import urllib.error
@@ -736,6 +738,154 @@ def test_http_short_body_is_408_and_closes(server, monkeypatch):
     head, _, body = raw.partition(b"\r\n\r\n")
     assert head.split(b"\r\n")[0].split()[1] == b"408"
     assert json.loads(body.decode())["field"] == "Content-Length"
+
+
+# --- keep-alive
+
+def read_response(stream):
+    """(status, lower-cased headers, body) of the next response on a byte stream; None at its end."""
+    status_line = stream.readline()
+    if not status_line:
+        return None
+    headers = {}
+    while (line := stream.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return int(status_line.split()[1]), headers, stream.read(int(headers.get("content-length", 0)))
+
+
+def read_until_closed(sock):
+    """Every byte the server sends until it closes the connection."""
+    raw = b""
+    try:
+        while chunk := sock.recv(4096):
+            raw += chunk
+    except ConnectionResetError:     # the server closed with bytes of ours still unread
+        pass
+    return raw
+
+
+def connect(base):
+    url = urllib.parse.urlsplit(base)
+    return socket.create_connection((url.hostname, url.port), timeout=5)
+
+
+def request_bytes(method, path, payload=None):
+    body = b"" if payload is None else json.dumps(payload).encode()
+    return f"{method} {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body
+
+
+def test_http_keep_alive_answers_two_requests_on_one_socket(server):
+    base, _, synth = server
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        for request in (request_bytes("POST", "/predict", sample_request(synth.dataset.records[0])),
+                        request_bytes("GET", "/health")):
+            sock.sendall(request)
+            status, headers, _ = read_response(stream)
+            assert status == 200 and headers.get("connection") != "close"
+
+
+def test_http_each_response_leaves_in_one_socket_write(server, monkeypatch):
+    base, _, synth = server
+    url = urllib.parse.urlsplit(base)
+    writes = []
+    for name in ("send", "sendall"):
+        def counted(sock, data, *args, _original=getattr(socket.socket, name)):
+            if sock.getsockname()[1] == url.port:     # the server's end of the connection
+                writes.append(bytes(data))
+            return _original(sock, data, *args)
+        monkeypatch.setattr(socket.socket, name, counted)
+    doc = sample_request(synth.dataset.records[0])
+    feedback = {"task_id": doc["TASK_ID"], "predicted_classes": {t: 0 for t in TARGETS},
+                "actual_targets": actual_targets_for(synth, 0)}
+    requests = [
+        (request_bytes("POST", "/predict", doc), 200),
+        (request_bytes("POST", "/feedback", feedback), 200),
+        (request_bytes("GET", "/health"), 200),
+        (request_bytes("GET", "/metrics-summary"), 200),
+        (request_bytes("POST", "/predict", {**doc, "NCORE": -1}), 400),
+        (request_bytes("GET", "/nope"), 404),
+        (f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode(), 413),
+    ]
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        for request, expected in requests:
+            writes.clear()
+            sock.sendall(request)
+            status, _, body = read_response(stream)
+            assert status == expected
+            assert len(writes) == 1 and writes[0].endswith(body)
+
+
+def test_http_50_keep_alive_predicts_take_under_a_second(server):
+    # two writes per response would wait about 40 ms each on the client's delayed ACK
+    base, _, synth = server
+    url = urllib.parse.urlsplit(base)
+    body = json.dumps(sample_request(synth.dataset.records[0]))
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+    try:
+        started = time.perf_counter()
+        for _ in range(50):
+            conn.request("POST", "/predict", body=body, headers={"Content-Type": "application/json"})
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200 and not resp.will_close
+        elapsed = time.perf_counter() - started
+    finally:
+        conn.close()
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("request_head, expected, field", [
+    (f"POST /predict HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}", 413, "Content-Length"),
+    ("POST /predict HTTP/1.1\r\nContent-Length: 0x10", 400, "Content-Length"),
+    ("POST /predict HTTP/1.1\r\nTransfer-Encoding: chunked", 400, "Transfer-Encoding"),
+    ("GET /health HTTP/1.1\r\nContent-Length: 33", 200, None),
+])
+def test_http_unread_body_gets_one_response_and_a_close(server, request_head, expected, field):
+    # the body the server leaves unread is itself a request, which must never be answered
+    base, _, _ = server
+    unread = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+    with connect(base) as sock:
+        sock.sendall(request_head.encode() + b"\r\nHost: x\r\n\r\n" + unread)
+        stream = io.BytesIO(read_until_closed(sock))
+    status, headers, body = read_response(stream)
+    assert (status, headers["connection"]) == (expected, "close")
+    assert json.loads(body).get("field") == field
+    assert stream.read() == b""
+
+
+@pytest.mark.parametrize("request_head", [
+    b"GET /health HTTP/1.0\r\n",
+    b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n",
+    b"GET /health HTTP/1.1\r\nHost: x\r\nConnection: close\r\n",
+])
+def test_http_1_0_and_connection_close_clients_get_a_close(server, request_head):
+    base, _, _ = server
+    with connect(base) as sock:
+        sock.sendall(request_head + b"\r\n")
+        stream = io.BytesIO(read_until_closed(sock))
+    status, _, body = read_response(stream)
+    assert status == 200 and json.loads(body)["status"] == "ok"
+    assert stream.read() == b""
+
+
+def test_http_0_9_request_gets_the_bare_body(server):
+    base, _, _ = server
+    with connect(base) as sock:
+        sock.sendall(b"GET /health\r\n\r\n")
+        raw = read_until_closed(sock)
+    assert json.loads(raw)["status"] == "ok"
+
+
+def test_http_idle_keep_alive_connection_closes_without_a_response(server, monkeypatch):
+    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    base, _, _ = server
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        sock.sendall(request_bytes("GET", "/health"))
+        assert read_response(stream)[0] == 200
+        idle_since = time.perf_counter()
+        assert stream.read() == b""      # closed, with no 408 written
+        assert time.perf_counter() - idle_since >= 0.1
 
 
 def test_http_unknown_path(server):

@@ -164,6 +164,19 @@ def test_ml_mode_requires_predictor():
         simulate(inputs, "ml", SimConfig())
 
 
+@pytest.mark.parametrize("delta", [-1, +1])
+def test_ml_mode_refuses_predictor_output_of_wrong_length(delta):
+    inputs, _ = small_inputs(n_tasks=20)
+    perfect = perfect_predictor(inputs)
+
+    def short_or_long(records):
+        classes = perfect(records)
+        return classes[:delta] if delta < 0 else classes + classes[:delta]
+
+    with pytest.raises(ValueError, match=f"predictor .*short_or_long returned {20 + delta} classes for 20 "):
+        simulate(inputs, "ml", SimConfig(), predictor=short_or_long)
+
+
 def test_scout_mode_requires_jobs():
     inputs, _ = small_inputs(n_tasks=10)
     inputs.jobs_by_task = None
