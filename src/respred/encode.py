@@ -65,12 +65,14 @@ class EncodedBatch:
     labels: Optional[np.ndarray] = None            # int64 class indices
     row_count: int = 0
 
-    def take(self, indices: np.ndarray) -> "EncodedBatch":
+    def take(self, indices: np.ndarray | slice) -> "EncodedBatch":
+        """The given rows: an index array copies them, a slice gives views of them."""
+        numeric = self.numeric_matrix[indices]
         return EncodedBatch(
             categorical_indices={k: v[indices] for k, v in self.categorical_indices.items()},
-            numeric_matrix=self.numeric_matrix[indices],
+            numeric_matrix=numeric,
             labels=None if self.labels is None else self.labels[indices],
-            row_count=len(indices),
+            row_count=len(numeric),
         )
 
 

@@ -12,35 +12,37 @@ abort on any non-finite loss.
 Everything is numpy; forward/backward are hand-derived so gradients can be
 checked against central finite differences.
 
-One layer loop serves every forward mode and one backward loop mirrors it;
-the normalization statistics are the only branch in each. Dropout masks
-apply in train and "mc" modes; inference ignores them. Inference and "mc"
-normalize with the running statistics, so every row is computed on its own:
-``forward`` runs a batch of more than INFERENCE_BLOCK_ROWS rows as
-consecutive row blocks, each a view of the batch, and writes each block's
-probabilities into one output array; the blocks of one call share one set
-of activation arrays. Such a forward then holds the output and one block's
-activations, whatever the row count. Train mode normalizes
-with the statistics of the whole batch and is never blocked; it allocates
-no activation-sized arrays. Each Network keeps a workspace of scratch
-buffers keyed by (name, shape), so the full batches and the last short
-batch of an epoch each get their own set; the dropout masks, activations,
-gates, input gradients and dense weight gradients are written into it with
-``out=``, and ``train`` empties it when it returns. Arrays that train mode
-hands back (masks, gradients, cache) are views of that workspace and hold
-only until the next train-mode call on the same network. Inference and "mc"
-modes never touch the workspace: they let numpy allocate, and the row blocks
-of one forward call share a scratch set of their own, so concurrent
-predictions on one network are safe; only the masks an "mc" caller draws
-with make_dropout_masks live there.
+Inference has one arithmetic. ``forward``'s inference and "mc" modes and
+``predict`` fold each hidden layer's batch normalization, an affine map
+under the running statistics, into the dense weights and bias (see _fold),
+so a hidden layer is one matmul, one add and one ReLU; "mc" multiplies each
+ReLU output by its dropout mask. ``forward`` folds on every call, so the
+finite-difference checks, which change params in place between its calls,
+see every change; ``predict`` folds on a model's first call and keeps the
+layers on the TargetModel, so a model's params and running statistics must
+not change in place after its first predict. Every row is computed on its
+own, so a batch of more than INFERENCE_BLOCK_ROWS rows runs as consecutive
+row blocks, each a view of the batch, that share one set of activation
+arrays and write their probabilities into one output array: such a pass
+holds the output and one block's activations, whatever the row count. The
+four heads of one predict call share that set as well. Inference never
+touches the network's workspace, so concurrent predictions on one network
+are safe.
 
-``predict`` does not run ``forward``. On a model's first predict it folds
-each hidden layer's batch normalization, an affine map under the running
-statistics, into the dense weights and bias, and keeps those layers on the
-TargetModel; so a model's params and running statistics must not change in
-place after its first predict. The four heads and the row blocks of one
-predict call share one scratch set. ``forward`` stays the reference, and
-the finite-difference checks change params in place between its calls.
+``_forward_cached`` is the unfolded pass: dense layer, batch normalization,
+ReLU and dropout mask, over the whole batch. It backs train mode, whose
+batch statistics need the whole batch, and ``loss_and_grads`` in every
+mode, whose backward loop mirrors it; it is also the reference the folded
+arithmetic is tested against. Train mode allocates no activation-sized
+arrays: each Network keeps a workspace of scratch buffers keyed by (name,
+shape), so the full batches and the last short batch of an epoch each get
+their own set; the dropout masks, activations, gates, input gradients and
+dense weight gradients are written into it with ``out=``, and ``train``
+empties it when it returns. Arrays that train mode hands back (masks,
+gradients, cache) are views of that workspace and hold only until the next
+train-mode call on the same network. The other modes of the unfolded pass
+allocate; the masks an "mc" caller draws with make_dropout_masks live in
+the workspace.
 
 Train mode leaves the dense bias out: batch normalization subtracts the
 batch mean, which cancels any per-unit bias exactly, so ``z = x @ W`` and the
@@ -54,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from typing import ClassVar, Optional, Sequence
 
 import numpy as np
 
@@ -168,12 +170,12 @@ class Network:
         return _buffer(self.workspace, name, shape)
 
 
-def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype: type = float) -> np.ndarray:
+def _buffer(store: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
     """The array for (name, shape) in store, made on first use; its contents are left over."""
     key = (name, shape)
     buf = store.get(key)
     if buf is None:
-        buf = store[key] = np.empty(shape, dtype)
+        buf = store[key] = np.empty(shape)
     return buf
 
 
@@ -214,8 +216,12 @@ def _concat_inputs(net: Network, batch: EncodedBatch, out: Optional[np.ndarray] 
     return np.concatenate(segments, axis=1, out=out)
 
 
-def _check_masks(net: Network, n_rows: int, dropout_masks: list[np.ndarray]) -> None:
-    """Refuse masks that are not one (rows, width) array per hidden layer."""
+def _check_call(net: Network, n_rows: int, mode: str, dropout_masks: Optional[list[np.ndarray]]) -> None:
+    """Refuse an unknown mode, and masks that are not one (rows, width) array per hidden layer."""
+    if mode not in ("train", "inference", "mc"):
+        raise ValueError(f"unknown forward mode {mode!r}: expected 'train', 'inference' or 'mc'")
+    if dropout_masks is None or mode == "inference":
+        return
     if len(dropout_masks) != len(net.hidden):
         raise ValueError(f"{len(dropout_masks)} dropout masks given for {len(net.hidden)} hidden layers")
     for i, (mask, width) in enumerate(zip(dropout_masks, net.hidden)):
@@ -230,29 +236,24 @@ def _forward_cached(
     batch: EncodedBatch,
     mode: str,
     dropout_masks: Optional[list[np.ndarray]],
-    scratch: Optional[dict] = None,
 ) -> tuple[np.ndarray, dict]:
-    """forward's pass: (class probabilities, per-layer cache for loss_and_grads).
+    """The unfolded pass: (class probabilities, per-layer cache for loss_and_grads).
 
-    Train mode writes its activations into the network's workspace; other
-    modes into ``scratch`` when given (forward's row blocks share one), else
-    into fresh arrays.
+    It runs the whole batch through dense layer, batch normalization, ReLU
+    and dropout mask, as the gradients need them. Train mode writes its
+    activations into the network's workspace; the other modes allocate.
     """
-    if mode not in ("train", "inference", "mc"):
-        raise ValueError(f"unknown forward mode {mode!r}: expected 'train', 'inference' or 'mc'")
     train = mode == "train"
-    store = net.workspace if train else scratch
-    buffered = store is not None
     masks = None if mode == "inference" else dropout_masks
     n = batch.row_count
-    x = _concat_inputs(net, batch, out=_buffer(store, "x0", (n, net.input_width)) if buffered else None)
+    x = _concat_inputs(net, batch, out=net.buffer("x0", (n, net.input_width)) if train else None)
     layers = []
     for i, width in enumerate(net.hidden):
         shape = (n, width)
         W = net.params[f"dense{i}:W"]
         gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
         # normalized in place: xhat starts as x @ W
-        xhat = np.matmul(x, W, out=_buffer(store, f"xhat{i}", shape) if buffered else None)
+        xhat = np.matmul(x, W, out=net.buffer(f"xhat{i}", shape) if train else None)
         if train:
             # the bias is left out: the batch mean cancels it
             mu = xhat.mean(axis=0)
@@ -264,13 +265,10 @@ def _forward_cached(
             xhat -= mu
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
-        out = np.multiply(xhat, gamma, out=_buffer(store, f"out{i}", shape) if buffered else None)
+        out = np.multiply(xhat, gamma, out=net.buffer(f"out{i}", shape) if train else None)
         out += beta
-        # ReLU then dropout is one multiplication by the gate, also d(out)/d(a); train
-        # multiplies its masks into the gate in place, so that gate is float, while
-        # other modes keep a bool gate, which np.greater fills without a cast
-        gate = np.greater(out, 0.0, out=_buffer(store, f"gate{i}", shape, float if train else bool)
-                          if buffered else None)
+        # ReLU then dropout is one multiplication by the gate, also d(out)/d(a)
+        gate = np.greater(out, 0.0, out=net.buffer(f"gate{i}", shape) if train else None)
         if masks is not None:
             gate = np.multiply(gate, masks[i], out=gate if train else None)
         out *= gate
@@ -308,31 +306,28 @@ def forward(
     without them; masks that are not one (rows, width) array per hidden
     layer are a ValueError, as is any other mode.
 
-    Inference and "mc" run a batch of more than INFERENCE_BLOCK_ROWS rows in
-    blocks of that many rows (each mask sliced alike), so their peak memory
-    does not grow with the row count beyond the (rows, classes) result.
-    Train mode always runs the whole batch, whose statistics it needs.
+    Inference and "mc" run the arithmetic that ``predict`` serves: the
+    network is folded on every call (see _fold), so a change to its params
+    shows in the next call, and the batch runs through the folded layers in
+    blocks of INFERENCE_BLOCK_ROWS rows (each mask sliced alike). Their peak
+    memory does not grow with the row count beyond the (rows, classes)
+    result. Train mode runs the whole batch, whose statistics it needs,
+    through the unfolded pass.
     """
-    if dropout_masks is not None and mode != "inference":
-        _check_masks(net, batch.row_count, dropout_masks)
+    _check_call(net, batch.row_count, mode, dropout_masks)
     if mode == "train":
-        probs, _ = _forward_cached(net, batch, mode, dropout_masks)
-        return probs
-
-    def run(block: EncodedBatch, rows: slice, scratch: dict) -> np.ndarray:
-        masks = None if dropout_masks is None else [m[rows] for m in dropout_masks]
-        return _forward_cached(net, block, mode, masks, scratch)[0]
-
-    return _in_blocks(batch, net.n_classes, {}, run)
+        return _forward_cached(net, batch, mode, dropout_masks)[0]
+    return _in_blocks(net, _fold(net), batch, {}, dropout_masks if mode == "mc" else None)
 
 
 def _in_blocks(
+    net: Network,
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...],
     batch: EncodedBatch,
-    n_classes: int,
     scratch: dict,
-    run: Callable[[EncodedBatch, slice, dict], np.ndarray],
+    masks: Optional[list[np.ndarray]] = None,
 ) -> np.ndarray:
-    """Class probabilities of a batch, computed by ``run(block, rows, scratch)``.
+    """Class probabilities of a batch through the folded layers, each ReLU output times its mask.
 
     A batch of at most INFERENCE_BLOCK_ROWS rows is one block; a larger one
     runs as consecutive blocks of that many rows, each a view of the batch,
@@ -342,20 +337,16 @@ def _in_blocks(
     """
     n = batch.row_count
     if n <= INFERENCE_BLOCK_ROWS:
-        return run(batch, slice(None), scratch)
-    probs = np.empty((n, n_classes))
+        return _folded_probs(net, layers, batch, scratch, masks)
+    probs = np.empty((n, net.n_classes))
     for start in range(0, n, INFERENCE_BLOCK_ROWS):
         rows = slice(start, start + INFERENCE_BLOCK_ROWS)
         n_block = min(n - start, INFERENCE_BLOCK_ROWS)
         if n_block < INFERENCE_BLOCK_ROWS:
             # the short last block writes into the leading rows of the full blocks' arrays
             scratch = {(name, (n_block, *shape[1:])): buf[:n_block] for (name, shape), buf in scratch.items()}
-        block = EncodedBatch(
-            categorical_indices={k: v[rows] for k, v in batch.categorical_indices.items()},
-            numeric_matrix=batch.numeric_matrix[rows],
-            row_count=n_block,
-        )
-        probs[rows] = run(block, rows, scratch)
+        block_masks = None if masks is None else [m[rows] for m in masks]
+        probs[rows] = _folded_probs(net, layers, batch.take(rows), scratch, block_masks)
     return probs
 
 
@@ -428,8 +419,7 @@ def loss_and_grads(
     labels = batch.labels
     if labels is None:
         raise ValueError("batch carries no labels")
-    if dropout_masks is not None and mode != "inference":
-        _check_masks(net, batch.row_count, dropout_masks)
+    _check_call(net, batch.row_count, mode, dropout_masks)
     probs, cache = _forward_cached(net, batch, mode, dropout_masks)
     total = loss(probs, labels, weights, net, cfg)
 
@@ -722,8 +712,9 @@ def _folded_probs(
     layers: tuple[tuple[np.ndarray, np.ndarray], ...],
     batch: EncodedBatch,
     scratch: dict,
+    masks: Optional[list[np.ndarray]],
 ) -> np.ndarray:
-    """Class probabilities of ``forward(net, batch)`` through the folded layers."""
+    """Class probabilities of one block through the folded layers, each ReLU output times its mask."""
     n = batch.row_count
     x = _concat_inputs(net, batch, out=_buffer(scratch, "x0", (n, net.input_width)))
     *hidden, (W_out, b_out) = layers
@@ -731,6 +722,8 @@ def _folded_probs(
         x = np.matmul(x, W, out=_buffer(scratch, f"out{i}", (n, W.shape[1])))
         x += b
         np.maximum(x, 0.0, out=x)
+        if masks is not None:
+            x *= masks[i]
     return _probabilities(x @ W_out + b_out, net.binary)
 
 
@@ -743,9 +736,10 @@ def predict(
     The records are encoded once per distinct encoder object, so heads that
     share an encoder (every model set from train_all or load_artifact) share
     one encoded batch. Each head runs through its folded layers
-    (``TargetModel.folded``, made on the model's first predict), in row
-    blocks as ``forward`` runs, and the heads and blocks of one call share
-    one scratch set. The probabilities equal ``forward``'s up to rounding.
+    (``TargetModel.folded``, made on the model's first predict) in the row
+    blocks of ``forward``'s inference mode, and the heads and blocks of one
+    call share one scratch set, so the probabilities are those of
+    ``forward(model.net, batch)`` on an unchanged network.
     Returns per-record ResourceClasses (argmax per target, lowest index on
     ties) and the full probability matrix per target.
     """
@@ -755,7 +749,6 @@ def predict(
 
     batches: dict[int, EncodedBatch] = {}
     probs: dict[str, np.ndarray] = {}
-    classes: dict[str, np.ndarray] = {}
     scratch: dict = {}
     for target, model in models.items():
         key = id(model.encoder)
@@ -764,9 +757,6 @@ def predict(
         if model.folded is None:
             # two threads may both fold a new model; they store equal layers
             model.folded = _fold(model.net)
-        net, layers = model.net, model.folded
-        p = _in_blocks(batches[key], net.n_classes, scratch,
-                       lambda block, _rows, shared: _folded_probs(net, layers, block, shared))
-        probs[target] = p
-        classes[target] = p.argmax(axis=1)
+        probs[target] = _in_blocks(model.net, model.folded, batches[key], scratch)
+    classes = {target: p.argmax(axis=1) for target, p in probs.items()}
     return classes_to_resource_classes(classes), probs

@@ -39,7 +39,7 @@ import numpy as np
 
 from .discretize import TARGET_NAMES, BinSpec, assign_class, class_to_allocation
 from .encode import CategoricalSpec, EncoderSpec, NumericSpec
-from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, TaskRecord
+from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, UNKNOWN_INDEX, UNKNOWN_TOKEN, TaskRecord
 from .nnet import Network, TargetModel, TrainConfig, predict
 
 MAGIC = b"RPAF"
@@ -48,7 +48,8 @@ BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
 MAX_BODY_BYTES = 1 << 20     # a request body is a few hundred bytes
 READ_TIMEOUT_S = 10.0        # socket timeout: a body cut short gets a 408, an idle connection closes
-# Predicted ids kept for feedback's known_task, oldest dropped first (~15 MB). The window
+# Predicted ids kept for feedback's known_task, oldest dropped first; each is kept as a
+# 16-byte digest, so the window holds ~15 MB whatever the id length. The window
 # must hold predicts/s x feedback delay; at the synthetic generator's p95 delay (293 h) it
 # holds up to ~0.09 predicts/s. Unverified against real PanDA traffic (see README).
 MAX_TRACKED_TASKS = 100_000
@@ -229,6 +230,16 @@ def load_artifact(path: str | Path) -> ModelArtifact:
 def _models_from_header(header: dict, body: bytes, path: str | Path) -> dict[str, TargetModel]:
     n_floats = len(body) // 8
     encoder = _encoder_from_dict(header["encoder"])
+    for spec in encoder.categorical:
+        # an index out of 0..size-1 would read another token's embedding row, or none
+        vocab = spec.vocabulary
+        if not (isinstance(vocab, dict) and vocab.get(UNKNOWN_TOKEN) == UNKNOWN_INDEX
+                and all(type(i) is int for i in vocab.values())
+                and sorted(vocab.values()) == list(range(len(vocab)))):
+            raise CorruptArtifactError(
+                f"{path}: vocabulary of {spec.name} does not map its tokens to "
+                f"0..size-1 with {UNKNOWN_TOKEN} at {UNKNOWN_INDEX}"
+            )
     models: dict[str, TargetModel] = {}
     for target, entry in header["targets"].items():
         bins = _bins_from_dict(entry["bins"])
@@ -347,8 +358,9 @@ def _feedback_entry(doc: Mapping, artifact: ModelArtifact) -> dict:
     for name in ("task_id", "predicted_classes", "actual_targets"):
         if name not in doc:
             raise ValidationError(f"missing field {name}", field_name=name)
-    if not isinstance(doc["task_id"], str):
-        raise ValidationError("task_id must be a string", field_name="task_id")
+    for name in ("task_id", "timestamp"):       # a missing timestamp is allowed
+        if not isinstance(doc.get(name, ""), str):
+            raise ValidationError(f"{name} must be a string", field_name=name)
     predicted: dict[str, int] = {}
     actual: dict[str, float] = {}
     actual_classes: dict[str, int] = {}
@@ -380,6 +392,11 @@ def _feedback_entry(doc: Mapping, artifact: ModelArtifact) -> dict:
     }
 
 
+def _id_digest(task_id: str) -> bytes:
+    """A fixed-size key for a task id of any length (lone surrogates included)."""
+    return hashlib.blake2b(task_id.encode("utf-8", "surrogatepass"), digest_size=16).digest()
+
+
 class PredictionService:
     """Holds the servable artifact, the feedback log and its counters.
 
@@ -392,8 +409,8 @@ class PredictionService:
         self.feedback_log = Path(feedback_log) if feedback_log else None
         self.counters = FeedbackCounters()
         self._lock = threading.Lock()
-        # the most recently predicted task ids, oldest first
-        self._predicted_ids: OrderedDict[str, None] = OrderedDict()
+        # digests of the most recently predicted task ids, oldest first
+        self._predicted_ids: OrderedDict[bytes, None] = OrderedDict()
         if self.feedback_log and self.feedback_log.exists():
             self._replay_log()
 
@@ -425,12 +442,12 @@ class PredictionService:
         if artifact is None:
             raise NotServableError("no artifact loaded")
         response = predict_request(artifact, doc)
-        task_id = response["task_id"]
-        if task_id:
+        if response["task_id"]:
+            key = _id_digest(response["task_id"])
             with self._lock:
                 ids = self._predicted_ids
-                ids[task_id] = None
-                ids.move_to_end(task_id)
+                ids[key] = None
+                ids.move_to_end(key)
                 while len(ids) > MAX_TRACKED_TASKS:
                     ids.popitem(last=False)
         return response
@@ -441,7 +458,7 @@ class PredictionService:
             raise NotServableError("no artifact loaded")
         entry = _feedback_entry(doc, artifact)
         with self._lock:
-            entry["known_task"] = entry["task_id"] in self._predicted_ids
+            entry["known_task"] = _id_digest(entry["task_id"]) in self._predicted_ids
             return self._apply_feedback(entry, append=True)
 
     def _apply_feedback(self, entry: dict, append: bool) -> dict:

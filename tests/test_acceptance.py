@@ -34,6 +34,7 @@ from respred.nnet import (
     loss_and_grads,
     make_dropout_masks,
     predict,
+    _forward_cached,
 )
 from respred.pipeline import label_dataset, train_all
 from respred.service import (
@@ -428,6 +429,20 @@ def test_predict_matches_inference_forward_on_trained_heads():
         assert np.abs(probs[target] - expected).max() <= 1e-12, target
         assert np.array_equal(probs[target].argmax(axis=1), expected.argmax(axis=1)), target
     assert len(classes) == len(records) == 10_000
+
+
+def test_inference_forward_matches_unfolded_pass_on_trained_heads():
+    # forward folds batch norm into the dense layers; _forward_cached normalizes with the
+    # running statistics as the gradients see it
+    cache = trained_pipeline()
+    records = cache["synth"].dataset.records
+    for target, model in cache["models"].items():
+        batch = encode(records, model.encoder)
+        folded = forward(model.net, batch, mode="inference")
+        unfolded = _forward_cached(model.net, batch, "inference", None)[0]
+        assert np.abs(folded - unfolded).max() <= 1e-12, target
+        assert np.array_equal(folded.argmax(axis=1), unfolded.argmax(axis=1)), target
+    assert len(records) == 10_000
 
 
 def test_criterion_9_determinism(tmp_path):

@@ -8,6 +8,7 @@ import socket
 import struct
 import threading
 import time
+import tracemalloc
 import urllib.parse
 import urllib.request
 import urllib.error
@@ -171,6 +172,24 @@ def test_artifact_missing_tensor_is_corrupt(models, tmp_path):
     save_artifact(models, path)
     rewrite_header(path, lambda header: header["targets"]["RAMCOUNT"]["params"].pop(0))
     with pytest.raises(CorruptArtifactError, match="dense0:W"):
+        load_artifact(path)
+
+
+@pytest.mark.parametrize("index", [-1, "size"])
+def test_artifact_vocabulary_index_outside_its_range_is_corrupt(models, tmp_path, index):
+    # -1 would read the last embedding row for the token; the size would fail at predict time
+    models, synth = models
+    path = tmp_path / "vocab.rpa"
+    save_artifact(models, path)
+
+    def remap(header):
+        vocab = header["encoder"]["categorical"][1]["vocabulary"]
+        token = next(t for t, i in vocab.items() if i == 1)
+        vocab[token] = len(vocab) if index == "size" else index
+
+    rewrite_header(path, remap)
+    name = models["RAMCOUNT"].encoder.categorical[1].name
+    with pytest.raises(CorruptArtifactError, match=f"vocabulary of {name}"):
         load_artifact(path)
 
 
@@ -460,6 +479,24 @@ def test_feedback_is_all_or_nothing(models, tmp_path, section, target, value):
     assert not log_path.exists()
 
 
+@pytest.mark.parametrize("timestamp", [12, None, ["2025-01-01"], {"t": 1}])
+def test_feedback_non_string_timestamp_is_refused(models, tmp_path, timestamp):
+    models, synth = models
+    log_path = tmp_path / "fb.jsonl"
+    svc = PredictionService(ModelArtifact(models=models, created_at="", config_fingerprint=""),
+                            feedback_log=log_path)
+    with pytest.raises(ValidationError, match="timestamp") as err:
+        svc.feedback({
+            "task_id": "t0",
+            "predicted_classes": {t: 0 for t in TARGETS},
+            "actual_targets": actual_targets_for(synth, 0),
+            "timestamp": timestamp,
+        })
+    assert err.value.field == "timestamp"
+    assert svc.metrics_summary()["n_records"] == 0
+    assert not log_path.exists()
+
+
 def test_feedback_log_replays_without_artifact(models, tmp_path):
     models, synth = models
     artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
@@ -555,6 +592,24 @@ def test_predicted_ids_are_bounded(models, monkeypatch):
     }
     assert known == {0: True, 1: False, 2: True}
     assert len(svc._predicted_ids) == 2
+
+
+def test_predicted_id_window_does_not_grow_with_id_length(models):
+    # the window holds a fixed-size digest per id, not the id itself
+    models, synth = models
+    svc = PredictionService(ModelArtifact(models=models, created_at="", config_fingerprint=""))
+    doc = sample_request(synth.dataset.records[0])
+    svc.predict(doc)        # folds the heads before memory is traced
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20):
+            svc.predict({**doc, "TASK_ID": f"{i}-" + "x" * (256 << 10)})
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(svc._predicted_ids) == 21
+    assert grown < 256 << 10, grown
 
 
 @pytest.mark.parametrize("constant, value", [
