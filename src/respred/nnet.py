@@ -55,6 +55,7 @@ rather than rounding noise that Adam would turn into bias drift.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import ClassVar, Optional, Sequence
 
@@ -91,6 +92,10 @@ class TrainConfig:
     bn_momentum: ClassVar[float] = 0.99
 
     def __post_init__(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
         if self.patience < 1:
             raise ValueError("patience must be >= 1")
         if self.learning_rate < 0:
@@ -575,6 +580,7 @@ class TrainReport:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_accuracy: list[float] = field(default_factory=list)
+    epoch_seconds: list[float] = field(default_factory=list)   # wall time per epoch, not in summary()
     best_epoch: int = 0                 # 1-based
     stop_reason: str = ""               # early_stop | max_epochs | nan_abort
     best_val_accuracy: float = float("nan")
@@ -619,6 +625,7 @@ def train(
 
     try:
         for epoch in range(1, cfg.max_epochs + 1):
+            started = time.perf_counter()
             order = rng.permutation(train_batch.row_count)
             batch_losses = []
             try:
@@ -637,6 +644,7 @@ def train(
             report.val_loss.append(loss(val_probs, val_batch.labels, weights, net, cfg))
             val_acc = float((val_probs.argmax(axis=1) == val_batch.labels).mean())
             report.val_accuracy.append(val_acc)
+            report.epoch_seconds.append(time.perf_counter() - started)
 
             improved = stopper.best < val_acc
             should_stop = stopper.update(epoch, val_acc)

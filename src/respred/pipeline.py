@@ -6,12 +6,32 @@ train/val/test split and one encoder fitted on its training rows; train,
 val and test are encoded once each and shared by the four heads, which
 differ only in their label column, network and seed. So every test row is
 held out from all four heads, and the saved artifact carries one encoder.
+
+``train_all`` trains the four heads at once, each in its own worker
+interpreter (``sys.executable``) with one BLAS thread; at these layer
+widths a second BLAS thread buys nothing, while a second core running a
+second head halves the wait. The job, ``train_target``'s arguments for all
+four heads, is pickled once and written to every worker's stdin; each
+worker pickles its ``TrainedTarget`` back on stdout, with the encoder, the
+test split and the bins sent as references to the caller's own objects.
+A worker peaks at about 81 MB resident on the acceptance workload. A
+worker's exception is raised again in the caller, or, if it does not
+unpickle, a RuntimeError carrying its traceback; every worker is reaped
+before ``train_all`` returns or raises.
 ``evaluate_predictions`` scores given probabilities; ``evaluate_models`` predicts first.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
+import os
+import pickle
+import subprocess
+import sys
+import traceback
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Mapping
 
 import numpy as np
@@ -103,6 +123,19 @@ def train_target(
     )
 
 
+def encode_split(
+    dataset: Dataset,
+    target_values: Mapping[str, np.ndarray],
+    split_seed: int = 0,
+) -> tuple[dict[str, BinSpec], EncodedSplit]:
+    """Fit the bins, label, make the one split and encode its three parts."""
+    bins = fit_all_bins(target_values)
+    labeled = label_dataset(dataset, target_values, bins)
+    split = stratified_split(labeled, SplitSpec(seed=split_seed))
+    encoder = fit_encoder(split.train)
+    return bins, EncodedSplit(split, encoder, tuple(encode(part.records, encoder) for part in split))
+
+
 def train_all(
     dataset: Dataset,
     target_values: Mapping[str, np.ndarray],
@@ -110,20 +143,117 @@ def train_all(
     hidden: tuple[int, ...] = (256, 128, 64),
     split_seed: int = 0,
 ) -> tuple[dict[str, TargetModel], dict[str, TrainedTarget]]:
-    """Fit bins, split and encode once, then train the four heads with per-target seeds."""
-    bins = fit_all_bins(target_values)
-    labeled = label_dataset(dataset, target_values, bins)
-    split = stratified_split(labeled, SplitSpec(seed=split_seed))
-    encoder = fit_encoder(split.train)
-    data = EncodedSplit(split, encoder, tuple(encode(part.records, encoder) for part in split))
+    """Fit bins, split and encode once, then train the four heads with per-target seeds, one worker each."""
+    bins, data = encode_split(dataset, target_values, split_seed)
+    heads = [(target, bins[target], replace(cfg, seed=cfg.seed + i)) for i, target in enumerate(TARGET_NAMES)]
+    details = _train_in_workers(data, heads, hidden)
+    return {target: trained.model for target, trained in details.items()}, details
 
-    models: dict[str, TargetModel] = {}
-    details: dict[str, TrainedTarget] = {}
-    for i, target in enumerate(TARGET_NAMES):
-        trained = train_target(data, target, bins[target], replace(cfg, seed=cfg.seed + i), hidden)
-        models[target] = trained.model
-        details[target] = trained
-    return models, details
+
+# --- training workers -------------------------------------------------------------
+
+_PACKAGE_PARENT = str(Path(__file__).resolve().parent.parent)
+# SIGINT goes to the caller alone, which then kills its workers
+_WORKER_MAIN = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
+                "from respred.pipeline import _train_worker; _train_worker()")
+
+
+def _shared(data: EncodedSplit, bins: BinSpec) -> tuple:
+    """Objects of the job that a worker's result refers to, and that it sends back by position."""
+    return data.encoder, data.split.test, bins
+
+
+class _SharedPickler(pickle.Pickler):
+    def __init__(self, file, shared: tuple) -> None:
+        super().__init__(file, pickle.HIGHEST_PROTOCOL)
+        self.shared = shared
+
+    def persistent_id(self, obj):
+        return next((i for i, s in enumerate(self.shared) if obj is s), None)
+
+
+class _SharedUnpickler(pickle.Unpickler):
+    def __init__(self, file, shared: tuple) -> None:
+        super().__init__(file)
+        self.shared = shared
+
+    def persistent_load(self, pid):
+        return self.shared[pid]
+
+
+def _train_in_workers(
+    data: EncodedSplit,
+    heads: list[tuple[str, BinSpec, TrainConfig]],
+    hidden: tuple[int, ...],
+) -> dict[str, TrainedTarget]:
+    """``train_target(data, *head, hidden)`` for every head, each in its own worker process."""
+    job = pickle.dumps((data, heads, hidden), pickle.HIGHEST_PROTOCOL)
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, (_PACKAGE_PARENT, os.environ.get("PYTHONPATH")))),
+        OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1",
+    )
+    workers: list[subprocess.Popen] = []
+    try:
+        # every worker imports while the first one reads its job
+        for i in range(len(heads)):
+            workers.append(subprocess.Popen([sys.executable, "-c", _WORKER_MAIN, str(i)],
+                                            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env))
+        for proc in workers:
+            # a worker that is gone says why through its result, or its lack of one
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.write(job)
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+        return {target: _collect(proc, target, _shared(data, bins))
+                for proc, (target, bins, _) in zip(workers, heads)}
+    finally:
+        for proc in workers:
+            proc.kill()            # a no-op for a worker that has exited
+        for proc in workers:
+            proc.wait()
+            proc.stdout.close()
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+
+
+def _collect(proc: subprocess.Popen, target: str, shared: tuple) -> TrainedTarget:
+    """One worker's TrainedTarget, or its exception raised again here."""
+    reply = proc.stdout.read()
+    code = proc.wait()
+    if not reply:
+        raise RuntimeError(f"the training worker for {target} exited with code {code} and sent no result")
+    status, *rest = _SharedUnpickler(io.BytesIO(reply), shared).load()
+    if status == "ok":
+        return rest[0]
+    blob, worker_traceback = rest
+    failure = RuntimeError(f"the training worker for {target} failed:\n{worker_traceback}")
+    try:
+        exc = pickle.loads(blob)
+    except Exception:
+        raise failure from None
+    raise exc from failure
+
+
+def _train_worker() -> None:
+    """A worker's body: one head's job from stdin, its pickled outcome to stdout."""
+    out = sys.stdout.buffer
+    sys.stdout = sys.stderr        # a stray print must not corrupt the reply
+    reply = io.BytesIO()
+    try:
+        data, heads, hidden = pickle.load(sys.stdin.buffer)
+        target, bins, cfg = heads[int(sys.argv[1])]
+        trained = train_target(data, target, bins, cfg, hidden)
+        _SharedPickler(reply, _shared(data, bins)).dump(("ok", trained))
+    except Exception as exc:
+        try:
+            blob = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
+        except Exception:
+            blob = b""
+        reply = io.BytesIO()
+        pickle.dump(("error", blob, traceback.format_exc()), reply)
+    out.write(reply.getvalue())
+    out.flush()
 
 
 @dataclass

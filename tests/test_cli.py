@@ -65,6 +65,22 @@ def test_train_bad_target_value_exits_2_naming_row_and_column(workdir, tmp_path,
     assert str(targets) in err and "line 4" in err and "RAMCOUNT" in err and repr(bad) in err
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--batch-size", "-5", "batch_size"),
+    ("--batch-size", "0", "batch_size"),
+    ("--max-epochs", "0", "max_epochs"),
+])
+def test_train_refuses_a_config_that_cannot_train(workdir, tmp_path, capsys, flag, value, field):
+    out = tmp_path / "artifact.rpa"
+    code = main([
+        "train", "--data", str(workdir / "tasks.csv"), "--targets", str(workdir / "targets.csv"),
+        "--out", str(out), "--hidden", "4,3,2", flag, value,
+    ])
+    assert code == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_writes_reports(workdir, capsys):
     report_path = workdir / "report.json"
     curves = workdir / "curves"

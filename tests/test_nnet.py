@@ -514,6 +514,23 @@ def test_train_on_separable_data():
     assert report.weights_trained
 
 
+@pytest.mark.parametrize("field", ["batch_size", "max_epochs"])
+@pytest.mark.parametrize("value", [0, -5])
+def test_config_refuses_settings_that_cannot_train(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_reports_one_positive_wall_time_per_epoch():
+    rng = np.random.default_rng(15)
+    train_b, val_b = separable_batches(rng, n=200)
+    net = Network(tiny_encoder(), n_classes=2, hidden=(8, 4, 2), seed=4)
+    report = train(net, train_b, val_b, TrainConfig(batch_size=64, max_epochs=4, patience=50, seed=9))
+    assert len(report.epoch_seconds) == len(report.train_loss) == 4
+    assert all(s > 0 for s in report.epoch_seconds)
+    assert "epoch_seconds" not in report.summary()   # the summary goes into the artifact header
+
+
 def test_train_nan_abort():
     rng = np.random.default_rng(12)
     train_b, val_b = separable_batches(rng, n=100)
