@@ -10,7 +10,7 @@ dependence.
 import numpy as np
 
 from respred import GeneratorSpec, SimConfig, TrainConfig, compare, generate, predict
-from respred.discretize import TARGET_NAMES, classes_to_resource_classes
+from respred.discretize import TARGET_NAMES
 from respred.pipeline import label_dataset, train_all
 from respred.simsynth import BrokerInputs
 
@@ -22,7 +22,7 @@ bins = {t: models[t].bins for t in models}
 labeled = label_dataset(synth.dataset, synth.targets, bins)
 inputs = BrokerInputs(
     records=labeled.records,
-    true_classes=classes_to_resource_classes({t: labeled.labels[t] for t in TARGET_NAMES}),
+    true_classes=np.column_stack([labeled.labels[t] for t in TARGET_NAMES]),
     true_targets=synth.targets,
     bins=bins,
     jobs_by_task=synth.jobs_by_task(),

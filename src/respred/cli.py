@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ingest, pipeline, service, simsynth
-from .discretize import TARGET_NAMES, classes_to_resource_classes
+from .discretize import TARGET_NAMES
 from .nnet import TrainConfig, predict
 from .targets import ResourceConfig, derive_tasks
 
@@ -161,9 +161,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with Path(args.out).open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([TASK_ID] + [ingest.CLASS_COLUMNS[t] for t in TARGET_NAMES])
-        for rec, cls in zip(dataset.records, classes):
-            d = cls.as_dict()
-            writer.writerow([rec.task_id] + [d[t] for t in TARGET_NAMES])
+        writer.writerows((rec.task_id, *cls) for rec, cls in zip(dataset.records, classes))
     print(f"wrote predictions for {len(dataset)} tasks -> {args.out}")
     return 0
 
@@ -172,10 +170,9 @@ def _broker_inputs(args: argparse.Namespace, artifact) -> simsynth.BrokerInputs:
     bins = {t: artifact.models[t].bins for t in TARGET_NAMES}
     labeled, values = _load_labeled(args.data, args.targets, bins)
     jobs_by_task = ingest.group_by_task(ingest.parse_job_csv(args.jobs)[0]) if args.jobs else None
-    true_classes = classes_to_resource_classes({t: labeled.labels[t] for t in TARGET_NAMES})
     return simsynth.BrokerInputs(
         records=labeled.records,
-        true_classes=true_classes,
+        true_classes=np.column_stack([labeled.labels[t] for t in TARGET_NAMES]),
         true_targets=values,
         bins=bins,
         jobs_by_task=jobs_by_task,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -67,26 +67,17 @@ class BinSpec:
                 raise ValueError("allocation_values must be monotone non-decreasing")
 
 
-@dataclass(frozen=True)
-class ResourceClasses:
-    """Discrete class labels for the four targets of one task; fields as in TARGET_REGISTRY."""
+class ResourceClasses(NamedTuple("ResourceClasses", [(name, int) for _, name, _ in TARGET_REGISTRY.values()])):
+    """One task's row of the (n, 4) class array, in TARGET_NAMES order; simsynth range-checks it."""
 
-    ram_class: int
-    cpu_class: int
-    io_class: int
-    wall_class: int
-
-    def __post_init__(self) -> None:
-        for limit, name, _ in TARGET_REGISTRY.values():
-            if not 0 <= getattr(self, name) < limit:
-                raise ValueError(f"{name} must lie in [0, {limit})")
+    __slots__ = ()
 
     def as_dict(self) -> dict[str, int]:
-        return {target: getattr(self, name) for target, (_, name, _) in TARGET_REGISTRY.items()}
+        return dict(zip(TARGET_NAMES, self))
 
     @classmethod
     def from_dict(cls, classes: dict[str, int]) -> "ResourceClasses":
-        return cls(**{name: int(classes[target]) for target, (_, name, _) in TARGET_REGISTRY.items()})
+        return cls._make(int(classes[target]) for target in TARGET_NAMES)
 
 
 def fit_bins(
@@ -177,9 +168,4 @@ def class_to_allocation(class_index: int, spec: BinSpec) -> float:
 
 def classes_to_resource_classes(per_target: dict[str, np.ndarray]) -> list[ResourceClasses]:
     """Zip aligned per-target class arrays into per-task ResourceClasses."""
-    lengths = {len(v) for v in per_target.values()}
-    if len(lengths) != 1:
-        raise ValueError("per-target class arrays must share length")
-    names = [name for _, name, _ in TARGET_REGISTRY.values()]
-    columns = [np.asarray(per_target[target]).tolist() for target in TARGET_REGISTRY]
-    return [ResourceClasses(**dict(zip(names, row))) for row in zip(*columns)]
+    return list(map(ResourceClasses._make, np.column_stack([per_target[t] for t in TARGET_NAMES]).tolist()))

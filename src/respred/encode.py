@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ingest import CATEGORICAL_FEATURES, NUMERIC_FEATURES, Dataset, TaskRecord, UNKNOWN_INDEX
+from .ingest import NUMERIC_FEATURES, Dataset, TaskRecord, UNKNOWN_INDEX, build_vocabularies
 
 
 def embed_dim(v: int) -> int:
@@ -85,7 +85,7 @@ def _transform(values: np.ndarray, transform: str, out: Optional[np.ndarray] = N
 
 
 def fit_encoder(train: Dataset, numeric_transform: str = "log1p") -> EncoderSpec:
-    """Fit vocabulary widths and numeric moments on the training split only.
+    """Fit vocabularies and numeric moments on the training split only.
 
     Numeric moments use the sample standard deviation (ddof=1); features
     whose transformed values have zero variance are dropped and recorded.
@@ -94,12 +94,8 @@ def fit_encoder(train: Dataset, numeric_transform: str = "log1p") -> EncoderSpec
         raise ValueError("cannot fit an encoder on an empty split")
 
     categorical = tuple(
-        CategoricalSpec(
-            name=feature,
-            vocabulary=dict(train.vocabularies[feature]),
-            embed_dim=embed_dim(len(train.vocabularies[feature])),
-        )
-        for feature in CATEGORICAL_FEATURES
+        CategoricalSpec(name=feature, vocabulary=vocab, embed_dim=embed_dim(len(vocab)))
+        for feature, vocab in build_vocabularies(train.records).items()
     )
 
     numeric: list[NumericSpec] = []

@@ -71,6 +71,10 @@ class CorruptFeedbackLogError(ValueError):
     """A feedback log line is not a feedback entry; the message names the file and line."""
 
 
+class FeedbackLogWriteError(RuntimeError):
+    """The feedback log could not be appended to, so nothing was recorded."""
+
+
 class ValidationError(ValueError):
     """A request document failed validation; ``field`` names the offender."""
 
@@ -319,10 +323,8 @@ def predict_request(artifact: ModelArtifact, doc: Mapping) -> dict:
     classes, probs = predict(artifact.models, [record])
     elapsed = time.perf_counter() - started
 
-    per_class = classes[0].as_dict()
     response: dict = {"task_id": record.task_id, "predictions": {}}
-    for target in TARGET_NAMES:
-        k = int(per_class[target])
+    for target, k in zip(TARGET_NAMES, classes[0]):
         response["predictions"][target] = {
             "class": k,
             "probabilities": [_sig9(p) for p in probs[target][0]],
@@ -367,14 +369,15 @@ def _feedback_entry(doc: Mapping, artifact: ModelArtifact) -> dict:
     for target in TARGET_NAMES:
         bins = artifact.models[target].bins
         try:
-            value = float(doc["actual_targets"][target])
-            k = doc["predicted_classes"][target]
+            raw, k = doc["actual_targets"][target], doc["predicted_classes"][target]
+            value = float(raw)
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ValidationError(
                 f"malformed feedback for target {target}", field_name=target
             ) from None
-        if not math.isfinite(value):
-            raise ValidationError(f"actual {target} must be finite, got {value}", field_name=target)
+        # a JSON number only: float() also turns true into 1.0 and "1e3" into 1000.0
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)) or not math.isfinite(value):
+            raise ValidationError(f"actual {target} must be a finite number, got {raw!r}", field_name=target)
         if isinstance(k, bool) or not isinstance(k, int) or not 0 <= k < bins.n_classes:
             raise ValidationError(
                 f"predicted {target} class must be an integer in [0, {bins.n_classes}), got {k!r}",
@@ -435,7 +438,7 @@ class PredictionService:
                 )
             entries.append(entry)
         for entry in entries:
-            self._apply_feedback(entry, append=False)
+            self._count(entry)
 
     def predict(self, doc: Mapping) -> dict:
         artifact = self.artifact
@@ -459,9 +462,16 @@ class PredictionService:
         entry = _feedback_entry(doc, artifact)
         with self._lock:
             entry["known_task"] = _id_digest(entry["task_id"]) in self._predicted_ids
-            return self._apply_feedback(entry, append=True)
+            # written and closed before any counter changes, so a failed write records nothing
+            if self.feedback_log is not None:
+                try:
+                    with self.feedback_log.open("a") as fh:
+                        fh.write(json.dumps(entry, sort_keys=True) + "\n")
+                except OSError as exc:
+                    raise FeedbackLogWriteError(f"feedback log {self.feedback_log} not written: {exc}") from None
+            return self._count(entry)
 
-    def _apply_feedback(self, entry: dict, append: bool) -> dict:
+    def _count(self, entry: dict) -> dict:
         agreement = {
             t: entry["actual_classes"][t] == entry["predicted_classes"][t] for t in TARGET_NAMES
         }
@@ -472,11 +482,6 @@ class PredictionService:
         known = entry.get("known_task", False)
         if not known:
             self.counters.n_unknown_task += 1
-
-        if append and self.feedback_log is not None:
-            with self.feedback_log.open("a") as fh:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
         return {
             "status": "recorded",
             "known_task": known,
@@ -580,7 +585,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(408, {"error": str(exc), "field": exc.field})
         except ValidationError as exc:
             self._send(400, {"error": str(exc), "field": exc.field})
-        except NotServableError as exc:
+        except (NotServableError, FeedbackLogWriteError) as exc:
             self._send(503, {"error": str(exc)})
         except Exception as exc:  # pragma: no cover - defensive
             self._send(500, {"error": f"internal error: {exc}"})

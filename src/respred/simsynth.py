@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Optional, Sequence
+from itertools import chain
+from typing import Callable, ClassVar, Optional, Sequence, Union
 
 import numpy as np
 
-from .discretize import TARGET_REGISTRY, BinSpec, ResourceClasses, assign_classes
+from .discretize import TARGET_NAMES, BinSpec, ResourceClasses, assign_classes
 from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies, group_by_task
 from .targets import ResourceConfig, derive_tasks, derive_walltime
 
@@ -118,7 +119,7 @@ def generate(spec: GeneratorSpec) -> SynthResult:
     cfg = spec.resource_config
 
     records: list[TaskRecord] = []
-    targets = {name: np.zeros(spec.n_tasks) for name in TARGET_REGISTRY}
+    targets = {name: np.zeros(spec.n_tasks) for name in TARGET_NAMES}
     jobs: list[JobProfile] = []
 
     probs = np.asarray([p.probability for p in spec.profiles])
@@ -277,20 +278,33 @@ class BrokerInputs:
     """Everything the simulator needs to replay a task population."""
 
     records: list[TaskRecord]
-    true_classes: list[ResourceClasses]
+    true_classes: Classes
     true_targets: dict[str, np.ndarray]
     bins: dict[str, BinSpec]
     jobs_by_task: Optional[dict[str, list[JobProfile]]] = None
     resource_config: ResourceConfig = field(default_factory=ResourceConfig)
 
 
-Predictor = Callable[[Sequence[TaskRecord]], list[ResourceClasses]]
+Classes = Union[Sequence[ResourceClasses], np.ndarray]     # per-task rows, or the (n, 4) int class array
+Predictor = Callable[[Sequence[TaskRecord]], Classes]
 
 
-def _ram_wall_classes(classes: Sequence[ResourceClasses]) -> dict[str, np.ndarray]:
-    """RAM and walltime class arrays of per-task classes; the other two do not alter turnaround."""
-    return {name: np.array([getattr(c, TARGET_REGISTRY[name][1]) for c in classes], dtype=np.int64)
-            for name in ("RAMCOUNT", "WALLTIME")}
+def _class_columns(classes: Classes, inputs: BrokerInputs, source: str,
+                   length_error: Optional[str] = None) -> dict[str, np.ndarray]:
+    """Class array per target of per-task classes; a class outside its target's bins is refused."""
+    if len(classes) != len(inputs.records):
+        raise ValueError(length_error or f"{source} must cover every task")
+    # np.asarray on a list of rows sets off a garbage collection per ~700 rows; one flat pass sets off none
+    arr = classes if isinstance(classes, np.ndarray) else \
+        np.fromiter(chain.from_iterable(classes), np.int64).reshape(len(classes), -1)
+    if arr.ndim != 2 or arr.shape[1] != len(TARGET_NAMES) or arr.dtype.kind not in "iu":
+        raise ValueError(f"{source} must be ResourceClasses or an (n, {len(TARGET_NAMES)}) int class array")
+    # a negative class would wrap around in allocation_values
+    outside = ((arr < 0) | (arr >= [inputs.bins[t].n_classes for t in TARGET_NAMES])).any(axis=0)
+    if outside.any():
+        target = TARGET_NAMES[outside.argmax()]
+        raise ValueError(f"{source}: {target} class outside [0, {inputs.bins[target].n_classes})")
+    return dict(zip(TARGET_NAMES, arr.T.astype(np.int64)))
 
 
 def _scout_allocations(inputs: BrokerInputs) -> dict[str, np.ndarray]:
@@ -304,6 +318,7 @@ def _scout_allocations(inputs: BrokerInputs) -> dict[str, np.ndarray]:
 
 def _execute(
     inputs: BrokerInputs,
+    truth: dict[str, np.ndarray],
     alloc: dict[str, np.ndarray],
     n_jobs: np.ndarray,
     fail_fraction: float,
@@ -317,14 +332,14 @@ def _execute(
     under its runtime. Both retry one tier up. Last, every task runs to
     completion and its over-allocation is charged, RAM before walltime.
     """
-    truth = _ram_wall_classes(inputs.true_classes)
+    names = ("RAMCOUNT", "WALLTIME")     # CPU-time and I/O classes do not alter turnaround
     seconds = np.asarray(inputs.true_targets["WALLTIME"], dtype=float)
     cores = np.array([r.core_count for r in inputs.records]) * n_jobs
-    for name in truth:
+    for name in names:
         if not inputs.bins[name].allocation_values:
             raise ValueError(f"{inputs.bins[name].target_name}: bin spec carries no allocation values")
-    limits = {name: np.asarray(inputs.bins[name].allocation_values, dtype=float) for name in truth}
-    final = {name: alloc[name].copy() for name in truth}
+    limits = {name: np.asarray(inputs.bins[name].allocation_values, dtype=float) for name in names}
+    final = {name: alloc[name].copy() for name in names}
     elapsed, waste, retries = np.zeros_like(seconds), np.zeros_like(seconds), np.zeros_like(n_jobs)
 
     def retry(name: str, tasks: np.ndarray, lost: np.ndarray) -> None:
@@ -354,7 +369,7 @@ def simulate(
     mode: str,
     cfg: SimConfig,
     predictor: Optional[Predictor] = None,
-    allocation_override: Optional[Sequence[ResourceClasses]] = None,
+    allocation_override: Optional[Classes] = None,
 ) -> SimReport:
     """Replay the population in 'scout' or 'ml' mode.
 
@@ -375,22 +390,20 @@ def simulate(
         1, np.round(np.exp(rng.normal(cfg.jobs_per_task_mu, cfg.jobs_per_task_sigma, size=n)))
     ).astype(int)
 
+    truth = _class_columns(inputs.true_classes, inputs, "true_classes")
     if allocation_override is not None:
-        allocations = _ram_wall_classes(allocation_override)
-        if len(allocations["RAMCOUNT"]) != n:
-            raise ValueError("allocation_override must cover every task")
+        allocations = _class_columns(allocation_override, inputs, "allocation_override")
     elif mode == "ml":
-        allocations = _ram_wall_classes(predictor(inputs.records))
-        if (returned := len(allocations["RAMCOUNT"])) != n:
-            name = getattr(predictor, "__qualname__", repr(predictor))
-            raise ValueError(f"predictor {name} returned {returned} classes for {n} tasks")
+        classes = predictor(inputs.records)
+        name = f"predictor {getattr(predictor, '__qualname__', repr(predictor))}"
+        allocations = _class_columns(classes, inputs, name, f"{name} returned {len(classes)} classes for {n} tasks")
     else:
         allocations = _scout_allocations(inputs)
 
     jobs = inputs.jobs_by_task or {}
     n_jobs = np.array([len(jobs[r.task_id]) if r.task_id in jobs else draw
                        for r, draw in zip(inputs.records, job_draws)], dtype=np.int64)
-    exec_time, retries, waste = _execute(inputs, allocations, n_jobs, cfg.fail_fraction)
+    exec_time, retries, waste = _execute(inputs, truth, allocations, n_jobs, cfg.fail_fraction)
     decisions = waits if mode == "scout" else np.full(n, float(cfg.ml_latency))
 
     turnaround_h = (decisions + exec_time) / HOUR
@@ -439,7 +452,7 @@ def compare(
     With equalize_allocations both modes receive the true classes, which
     isolates the decision-latency difference.
     """
-    override = list(inputs.true_classes) if equalize_allocations else None
+    override = inputs.true_classes if equalize_allocations else None
     scout = simulate(inputs, "scout", cfg, allocation_override=override)
     ml = simulate(inputs, "ml", cfg, predictor=predictor, allocation_override=override)
     return CompareReport(

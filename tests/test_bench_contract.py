@@ -79,3 +79,46 @@ def test_train_calls_step_and_masks_through_module_globals(monkeypatch):
     steps = len(report.train_loss) * -(-n_rows // batch_size)
     assert len(report.train_loss) == epochs
     assert calls == {"train_step": steps, "make_dropout_masks": steps}
+
+
+def test_replay_reads_class_rows_and_compares_either_class_form():
+    # perfbench's replay reads nnet.predict's classes as rows with as_dict(), and hands
+    # the simulator ResourceClasses lists; the (n, 4) arrays the CLI passes must agree
+    import numpy as np
+
+    from respred import nnet, simsynth
+    from respred.discretize import TARGET_NAMES, classes_to_resource_classes
+    from respred.encode import fit_encoder
+    from respred.pipeline import fit_all_bins, label_dataset
+
+    synth = simsynth.generate(simsynth.GeneratorSpec(seed=2, n_tasks=120))
+    bins = fit_all_bins(synth.targets)
+    labeled = label_dataset(synth.dataset, synth.targets, bins)
+    encoder = fit_encoder(labeled)
+    models = {
+        t: nnet.TargetModel(target=t, net=nnet.Network(encoder, bins[t].n_classes, hidden=(8, 4, 2), seed=i),
+                            encoder=encoder, bins=bins[t], train_summary={})
+        for i, t in enumerate(TARGET_NAMES)
+    }
+    classes, probs = nnet.predict(models, labeled.records)
+    for i in (0, len(classes) - 1):
+        row = classes[i].as_dict()
+        assert list(row) == list(TARGET_NAMES)
+        assert all(type(k) is int for k in row.values())
+        assert row == {t: int(probs[t][i].argmax()) for t in TARGET_NAMES}
+
+    labels = {t: labeled.labels[t] for t in TARGET_NAMES}
+    reports = []
+    for true_classes, predicted in (
+        (classes_to_resource_classes(labels), classes),
+        (np.column_stack([labels[t] for t in TARGET_NAMES]), np.asarray(classes)),
+    ):
+        inputs = simsynth.BrokerInputs(
+            records=labeled.records, true_classes=true_classes, true_targets=synth.targets, bins=bins,
+            jobs_by_task=synth.jobs_by_task(), resource_config=simsynth.GeneratorSpec.resource_config,
+        )
+        reports.append(simsynth.compare(inputs, simsynth.SimConfig(seed=3), predictor=lambda records: predicted))
+    as_rows, as_arrays = reports
+    assert as_rows.as_dict() == as_arrays.as_dict()
+    for mode in ("scout", "ml"):
+        assert np.array_equal(getattr(as_rows, mode).turnaround_hours, getattr(as_arrays, mode).turnaround_hours)

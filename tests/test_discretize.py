@@ -7,12 +7,15 @@ import pytest
 
 from respred.discretize import (
     TARGET_CLASS_COUNTS,
+    TARGET_NAMES,
+    TARGET_REGISTRY,
     BinSpec,
     BinningError,
     ResourceClasses,
     assign_class,
     assign_classes,
     class_to_allocation,
+    classes_to_resource_classes,
     explicit_bins,
     fit_bins,
 )
@@ -165,6 +168,18 @@ def test_allocation_covers_bin_contents():
 def test_resource_classes_round_trip():
     rc = ResourceClasses(ram_class=2, cpu_class=4, io_class=1, wall_class=0)
     assert ResourceClasses.from_dict(rc.as_dict()) == rc
+
+
+def test_resource_classes_are_rows_of_the_class_array():
+    # the fields are the registry's, in TARGET_NAMES order, so a list of rows is the
+    # (n, 4) class array with one column per target
+    assert ResourceClasses._fields == tuple(TARGET_REGISTRY[t][1] for t in TARGET_NAMES)
+    per_target = {t: (np.arange(3) + j) % TARGET_CLASS_COUNTS[t] for j, t in enumerate(TARGET_NAMES)}
+    rows = classes_to_resource_classes(per_target)
+    assert np.array_equal(np.asarray(rows), np.column_stack([per_target[t] for t in TARGET_NAMES]))
+    assert rows[1] == ResourceClasses(ram_class=1, cpu_class=2, io_class=1, wall_class=4)
+    assert rows[1].as_dict() == {"RAMCOUNT": 1, "CPUTIME": 2, "IOINTENSITY": 1, "WALLTIME": 4}
+    assert all(type(k) is int for row in rows for k in row)
 
 
 def test_binspec_validates_edges():

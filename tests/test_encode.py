@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from respred.encode import embed_dim, encode, fit_encoder
-from respred.ingest import Dataset, TaskRecord, build_vocabularies
+from respred.ingest import UNKNOWN_INDEX, UNKNOWN_TOKEN, Dataset, TaskRecord, build_vocabularies
 
 
 def records_from(rows):
@@ -90,6 +90,17 @@ def test_encode_unseen_token_maps_to_zero():
     spec = fit_encoder(train)
     batch = encode(records_from([{"fw": "NEW"}]), spec)
     assert batch.categorical_indices["framework"][0] == 0
+
+
+def test_vocabulary_fit_on_training_rows_only():
+    # a split part carries its corpus's vocabularies; a token seen only outside
+    # training must still encode as unknown, not as an untrained embedding row
+    corpus = dataset_from([{"fw": "A"}, {"fw": "B"}, {"fw": "A"}, {"fw": "TEST_ONLY"}])
+    spec = fit_encoder(corpus.subset([0, 1, 2]))
+    fw = next(c for c in spec.categorical if c.name == "framework")
+    assert fw.vocabulary == {UNKNOWN_TOKEN: UNKNOWN_INDEX, "A": 1, "B": 2}
+    batch = encode(corpus.subset([3]).records, spec)
+    assert batch.categorical_indices["framework"][0] == UNKNOWN_INDEX
 
 
 def test_encode_mean_value_standardizes_to_zero():

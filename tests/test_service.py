@@ -455,6 +455,8 @@ MISSING = object()
     ("predicted_classes", "RAMCOUNT", -1),
     ("predicted_classes", "CPUTIME", 1.0),
     ("predicted_classes", "RAMCOUNT", True),
+    ("actual_targets", "RAMCOUNT", True),
+    ("actual_targets", "IOINTENSITY", "1e3"),
 ])
 def test_feedback_is_all_or_nothing(models, tmp_path, section, target, value):
     models, synth = models
@@ -689,6 +691,27 @@ def test_health_names_the_artifact_by_its_file_digest(models, tmp_path):
         assert doc == {"status": "ok", "sha256": expected, "created_at": artifact.created_at,
                        "config_fingerprint": artifact.config_fingerprint}
     assert (loaded.created_at, loaded.config_fingerprint) == (saved.created_at, saved.config_fingerprint)
+
+
+def test_http_feedback_log_write_failure_is_503_and_records_nothing(server, tmp_path):
+    base, svc, synth = server
+    svc.feedback_log = tmp_path / "fb.jsonl"
+    doc = {
+        "task_id": "t0",
+        "predicted_classes": {t: 0 for t in TARGETS},
+        "actual_targets": actual_targets_for(synth, 0),
+    }
+    assert http_json(base + "/feedback", doc)[0] == 200
+    before = svc.metrics_summary()
+    assert before["n_records"] == 1
+    # a directory where the log was: the append fails whatever the user's rights
+    svc.feedback_log.unlink()
+    svc.feedback_log.mkdir()
+    status, body = http_json(base + "/feedback", doc)
+    assert status == 503
+    assert str(svc.feedback_log) in body["error"]
+    assert svc.metrics_summary() == before
+    assert http_json(base + "/metrics-summary") == (200, before)
 
 
 def test_http_predict_matches_in_process(server):

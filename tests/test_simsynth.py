@@ -480,3 +480,38 @@ def test_compare_runs_same_stream_both_modes():
     per_task_delta = result.scout.turnaround_hours - result.ml.turnaround_hours
     decisions = result.scout.decision_latency_hours - result.ml.decision_latency_hours
     assert np.allclose(per_task_delta, decisions)
+
+
+# --- classes entering the simulator
+
+
+@pytest.mark.parametrize("form", ["list", "array"])
+@pytest.mark.parametrize("route", ["predictor", "allocation_override", "true_classes"])
+@pytest.mark.parametrize("target", ["RAMCOUNT", "WALLTIME"])
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_classes_outside_their_bins_are_refused(form, route, target, side, monkeypatch):
+    inputs, _ = small_inputs(n_tasks=20)
+    classes = np.asarray(inputs.true_classes)
+    classes[3, TARGETS.index(target)] = -1 if side == "below" else inputs.bins[target].n_classes
+    given = [ResourceClasses._make(row) for row in classes.tolist()] if form == "list" else classes
+    if route == "predictor":
+        kwargs = {"predictor": lambda records: given}
+    elif route == "allocation_override":
+        kwargs = {"allocation_override": given}
+    else:
+        kwargs = {"allocation_override": inputs.true_classes}
+        inputs = dataclasses.replace(inputs, true_classes=given)
+    played = []
+    monkeypatch.setattr(simsynth, "_execute", lambda *args: played.append(args))
+    # a class of -1 would otherwise read the top tier's allocation value
+    with pytest.raises(ValueError, match=f"{route}.*{target} class outside"):
+        simulate(inputs, "ml", SimConfig(), **kwargs)
+    assert played == []
+
+
+def test_classes_that_are_not_an_n_by_4_int_array_are_refused():
+    inputs, _ = small_inputs(n_tasks=20)
+    classes = np.asarray(inputs.true_classes)
+    for bad in (classes.astype(float), classes[:, :3], [row[:3] for row in inputs.true_classes]):
+        with pytest.raises(ValueError, match=r"allocation_override must be ResourceClasses or an \(n, 4\) int"):
+            simulate(inputs, "ml", SimConfig(), allocation_override=bad)
