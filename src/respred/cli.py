@@ -27,7 +27,7 @@ def _write_targets_csv(path: Path, task_ids: list[str], values: dict[str, np.nda
     # .tolist() gives Python floats, which csv writes as repr(float)
     columns = [task_ids, *(values[t].tolist() for t in TARGET_NAMES),
                n_scouts.tolist(), fallback.astype(int).tolist()]
-    with path.open("w", newline="") as fh:
+    with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TARGETS_CSV_HEADER)
         writer.writerows(zip(*columns))
@@ -36,7 +36,7 @@ def _write_targets_csv(path: Path, task_ids: list[str], values: dict[str, np.nda
 def _read_targets_csv(path: Path) -> dict[str, dict[str, float]]:
     """TASK_ID -> {target: value}; a missing, non-numeric or non-finite value is a SchemaError."""
     out: dict[str, dict[str, float]] = {}
-    with path.open(newline="") as fh:
+    with path.open(newline="", encoding=ingest.CSV_ENCODING) as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in TARGETS_CSV_HEADER[:5] if c not in (reader.fieldnames or [])]
         if missing:
@@ -158,7 +158,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         return 0
     dataset = ingest.parse_task_csv(args.data)
     classes, _ = predict(artifact.models, dataset.records)
-    with Path(args.out).open("w", newline="") as fh:
+    with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([TASK_ID] + [ingest.CLASS_COLUMNS[t] for t in TARGET_NAMES])
         writer.writerows((rec.task_id, *cls) for rec, cls in zip(dataset.records, classes))

@@ -12,6 +12,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass, field, fields
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import ClassVar, Iterator, Mapping, Optional, Sequence, TextIO, get_type_hints
 
@@ -220,19 +221,105 @@ _PARSERS = {
 }
 # how a field value is written; other types are written as they are
 _FORMATS = {float: lambda v: repr(float(v)), bool: int}
+# the data lines that the CSV reader splits and converts at a time
+CSV_BLOCK_LINES = 1024
+# CSVs are read as UTF-8, after a byte-order mark if there is one, and written as UTF-8
+CSV_ENCODING = "utf-8-sig"
+
+
+def _parse_id(raw: Optional[str], column: str) -> str:
+    """A task id: a string that is not empty once stripped."""
+    value = _PARSERS[str](raw, column)
+    if not value:
+        raise CellError("missing-value", f"missing value in column {column}")
+    return value
+
+
+def _parse_label(raw: Optional[str], column: str) -> int:
+    """A class label; a blank or missing cell is -1 (unknown)."""
+    return -1 if raw in ("", None) else _parse_int(raw, column)
+
+
+def _blocks(fh: TextIO, width: int) -> Iterator[Sequence[Sequence[Optional[str]]]]:
+    """The data rows after the header, a block at a time, as ``width`` columns.
+
+    A block without a quote, a lone carriage return or a NUL (which
+    ``csv.reader`` refuses before Python 3.11), whose non-blank lines each hold
+    ``width`` fields, is split on commas. Any other block goes through
+    ``csv.reader``, and from the first quote on (a quoted field can span lines)
+    so does the rest of the file. Either way a block's cells are those that one
+    ``csv.reader`` over the file gives, without its blank rows.
+    """
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, CSV_BLOCK_LINES)):
+        text = "".join(lines).replace("\r\n", "\n")
+        if '"' in text:
+            yield from _transposed(csv.reader(chain(lines, fh)), width)
+            return
+        rows = [line for line in text.split("\n") if line]
+        if not rows:
+            continue
+        # a line longer than the field size limit keeps csv.reader's error
+        if ("\r" in text or "\0" in text or max(map(len, rows)) > limit
+                or set(map(str.count, rows, repeat(","))) != {width - 1}):
+            yield from _transposed(csv.reader(lines), width)
+        else:
+            cells = ",".join(rows).split(",")
+            yield [cells[pos::width] for pos in range(width)]
+
+
+def _transposed(reader: Iterator[list[str]], width: int) -> Iterator[list[tuple[Optional[str], ...]]]:
+    """A ``csv.reader``'s non-blank rows, CSV_BLOCK_LINES at a time, as columns; a short row reads None past its end."""
+    while block := list(islice(reader, CSV_BLOCK_LINES)):
+        rows = [cells + [None] * (width - len(cells)) for cells in block if cells]
+        if rows:
+            yield list(zip(*rows))
+
+
+def _convert(cells: Sequence[Optional[str]], parse, column: str, failed: dict[int, CellError]) -> list:
+    """One column's values by ``parse``; a row whose cell fails goes into ``failed`` unless it is there already.
+
+    The column converts in one pass: a numeric one by ``float`` with one
+    finite check (and an integral one for integers), any other through a
+    table of each distinct cell's value. If that pass fails, each cell is
+    parsed on its own, so ``parse`` alone decides a cell's value and error.
+    """
+    try:
+        if parse is _parse_float or parse is _parse_int:
+            values = list(map(float, cells))
+            arr = np.array(values)
+            if np.isfinite(arr).all():
+                if parse is _parse_float:
+                    return values
+                if (np.trunc(arr) == arr).all():
+                    return list(map(int, values))
+        else:
+            table = {raw: parse(raw, column) for raw in set(cells)}
+            return list(map(table.__getitem__, cells))
+    except (ValueError, TypeError):    # a CellError is a ValueError
+        pass
+    values = [None] * len(cells)
+    for j, raw in enumerate(cells):
+        try:
+            values[j] = parse(raw, column)
+        except CellError as exc:
+            failed.setdefault(j, exc)
+    return values
 
 
 def _read_csv(fh: TextIO, record_type: type, columns: Mapping[str, str], label_columns: Mapping[str, str],
-              report: ParseReport) -> tuple[dict[str, str], Iterator[tuple[int, object, list[int]]]]:
-    """Check an open CSV's header; return the label columns it has and its rows, read lazily.
+              report: ParseReport) -> tuple[dict[str, str], Iterator[tuple[list[int], list, list[tuple[int, ...]]]]]:
+    """Check an open CSV's header; return the label columns it has and its rows, read a block at a time.
 
-    A row is (row index, record, labels), its labels read from those columns in
-    order; a row that does not parse by field type or validate goes to ``report``.
-    Blank lines are not rows; a missing trailing field is a missing value; extra
-    fields are ignored; a repeated column name reads its last column.
+    Each block of rows is (row indices, records, labels), a row's labels read
+    from those columns in order. A row that does not parse by field type or
+    validate goes to ``report``, with the error of its first failing column in
+    field order, then label order; a block's failed rows are reported before
+    the block is yielded. Blank lines are not rows; a missing trailing field is
+    a missing value; extra fields are ignored; a repeated column name reads its
+    last column; an empty task id is a missing value.
     """
-    reader = csv.reader(fh)
-    header = next(reader, None)
+    header = next(csv.reader(fh), None)
     if header is None:
         raise SchemaError(f"{fh.name}: empty file, header row required")
     position = {name: i for i, name in enumerate(header)}
@@ -240,33 +327,32 @@ def _read_csv(fh: TextIO, record_type: type, columns: Mapping[str, str], label_c
     if missing:
         raise SchemaError(f"{fh.name}: missing mandatory column(s) {', '.join(missing)}")
     types = get_type_hints(record_type)
-    plan = [(position[columns[f.name]], _PARSERS[types[f.name]], columns[f.name])
-            for f in fields(record_type)]
+    plan = [(position[columns[f.name]], _parse_id if f.name == "task_id" else _PARSERS[types[f.name]],
+             columns[f.name]) for f in fields(record_type)]
     present = {key: col for key, col in label_columns.items() if col in position}
-    label_plan = [(position[col], col) for col in present.values()]
+    plan += [(position[col], _parse_label, col) for col in present.values()]
+    n_fields = len(fields(record_type))
 
-    def rows() -> Iterator[tuple[int, object, list[int]]]:
-        for cells in reader:
-            if not cells:
-                continue
-            i = report.n_rows
-            report.n_rows += 1
-            if len(cells) < len(header):
-                cells += [None] * (len(header) - len(cells))
-            try:
-                record = record_type(*[parse(cells[pos], col) for pos, parse, col in plan])
-                labels = [-1 if cells[pos] in ("", None) else _parse_int(cells[pos], col)
-                          for pos, col in label_plan]
-            except CellError as exc:
-                report.errors.append(RowError(i, exc.kind, str(exc)))
-                continue
-            problem = record.validate()
-            if problem is not None:
-                report.errors.append(RowError(i, "invariant", problem))
-                continue
-            yield i, record, labels
+    def blocks() -> Iterator[tuple[list[int], list, list[tuple[int, ...]]]]:
+        for cells in _blocks(fh, len(header)):
+            first, n = report.n_rows, len(cells[0])
+            report.n_rows += n
+            failed: dict[int, CellError] = {}
+            values = [_convert(cells[pos], parse, col, failed) for pos, parse, col in plan]
+            errors = {j: RowError(first + j, exc.kind, str(exc)) for j, exc in failed.items()}
+            kept = [j for j in range(n) if j not in errors]
+            if errors:
+                values = [[column[j] for j in kept] for column in values]
+            records = list(map(record_type, *values[:n_fields]))
+            labels = list(zip(*values[n_fields:])) if len(values) > n_fields else [()] * len(kept)
+            for j, problem in zip(kept, map(record_type.validate, records)):
+                if problem is not None:
+                    errors[j] = RowError(first + j, "invariant", problem)
+            report.errors += [errors[j] for j in sorted(errors)]
+            ok = [j not in errors for j in kept]
+            yield [first + j for j in compress(kept, ok)], list(compress(records, ok)), list(compress(labels, ok))
 
-    return present, rows()
+    return present, blocks()
 
 
 def _write_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
@@ -274,7 +360,7 @@ def _write_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
     """One row per record, each value written by its field type, then its labels (column -> labels)."""
     types = get_type_hints(record_type)
     plan = [(f, _FORMATS.get(types[f], lambda v: v)) for f in columns]
-    with Path(path).open("w", newline="") as fh:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*columns.values(), *labels])
         for i, rec in enumerate(records):
@@ -290,17 +376,20 @@ def parse_task_csv(path: str | Path) -> Dataset:
     """
     report = ParseReport()
     records: list[TaskRecord] = []
-    label_rows: list[list[int]] = []
+    label_rows: list[tuple[int, ...]] = []
     seen_ids: set[str] = set()
-    with Path(path).open(newline="") as fh:
-        class_columns, rows = _read_csv(fh, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS, report)
-        for i, record, row_labels in rows:
-            if record.task_id in seen_ids:
-                report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
-                continue
-            seen_ids.add(record.task_id)
-            records.append(record)
-            label_rows.append(row_labels)
+    with Path(path).open(newline="", encoding=CSV_ENCODING) as fh:
+        class_columns, blocks = _read_csv(fh, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS, report)
+        for index, block, block_labels in blocks:
+            for i, record, row_labels in zip(index, block, block_labels):
+                if record.task_id in seen_ids:
+                    report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
+                    continue
+                seen_ids.add(record.task_id)
+                records.append(record)
+                label_rows.append(row_labels)
+    # the reader reports a block's failed rows before it yields the block
+    report.errors.sort(key=lambda error: error.row_index)
     report.n_parsed = len(records)
     labels = {
         target: np.asarray([row[j] for row in label_rows], dtype=np.int64)
@@ -318,9 +407,9 @@ def write_task_csv(dataset: Dataset, path: str | Path) -> None:
 def parse_job_csv(path: str | Path) -> tuple[list[JobProfile], ParseReport]:
     """Parse the auxiliary job-profile CSV."""
     report = ParseReport()
-    with Path(path).open(newline="") as fh:
-        _, rows = _read_csv(fh, JobProfile, JOB_COLUMNS, {}, report)
-        jobs = [job for _, job, _ in rows]
+    with Path(path).open(newline="", encoding=CSV_ENCODING) as fh:
+        _, blocks = _read_csv(fh, JobProfile, JOB_COLUMNS, {}, report)
+        jobs = [job for _, block, _ in blocks for job in block]
     report.n_parsed = len(jobs)
     return jobs, report
 

@@ -622,6 +622,7 @@ def train(
     report = TrainReport()
     stopper = EarlyStopper(patience=cfg.patience)
     best_state: Optional[dict[str, np.ndarray]] = None
+    val_scratch: dict = {}    # the validation forward's activations, reused every epoch
 
     try:
         for epoch in range(1, cfg.max_epochs + 1):
@@ -640,7 +641,7 @@ def train(
                 return report
 
             report.train_loss.append(float(np.mean(batch_losses)))
-            val_probs = forward(net, val_batch, mode="inference")
+            val_probs = _in_blocks(net, _fold(net), val_batch, val_scratch)
             report.val_loss.append(loss(val_probs, val_batch.labels, weights, net, cfg))
             val_acc = float((val_probs.argmax(axis=1) == val_batch.labels).mean())
             report.val_accuracy.append(val_acc)

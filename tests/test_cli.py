@@ -243,6 +243,8 @@ def test_serve_subcommand_end_to_end(workdir):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 @pytest.mark.parametrize("bad_line", ["{}", '{"task_id": "a", "pred'])

@@ -1,11 +1,23 @@
 """CSV parsing, round-trips and stratified splitting."""
 
+import csv
+import random
+from dataclasses import fields
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
+from respred import ingest
 from respred.ingest import (
+    CLASS_COLUMNS,
     JOB_COLUMNS,
+    TASK_COLUMNS,
+    CellError,
     Dataset,
+    JobProfile,
+    ParseReport,
+    RowError,
     SchemaError,
     SplitSpec,
     TaskRecord,
@@ -115,7 +127,6 @@ def test_task_csv_round_trip(tmp_path):
 
 
 def test_job_csv_round_trip(tmp_path):
-    from respred.ingest import JobProfile
     rng = np.random.default_rng(1)
     jobs = [
         JobProfile(
@@ -221,6 +232,216 @@ def test_parse_job_non_finite_value_is_non_numeric(tmp_path):
     (err,) = report.errors
     assert (err.row_index, err.kind) == (0, "non-numeric")
     assert err.message == "non-finite value 'inf' in column MAXPSS_MB"
+
+
+def test_parse_empty_task_id_is_missing_value(tmp_path):
+    path = write(tmp_path, HEADER + "\n"
+                 ",sim,Athena,1,1,2,100\n"
+                 "t1,sim,Athena,1,1,2,100\n"
+                 "   ,sim,Athena,1,1,2,100\n")
+    ds = parse_task_csv(path)
+    assert [r.task_id for r in ds.records] == ["t1"]
+    assert ds.report.errors == [RowError(0, "missing-value", "missing value in column TASK_ID"),
+                                RowError(2, "missing-value", "missing value in column TASK_ID")]
+
+
+def test_parse_job_empty_task_id_is_missing_value(tmp_path):
+    header = ",".join(JOB_COLUMNS.values())
+    path = write(tmp_path, header + "\n"
+                 " ,100.0,0.0,10.0,10.0,5,1.0,1.0,1,0\n"
+                 "t1,100.0,0.0,10.0,10.0,5,1.0,1.0,1,0\n", name="jobs.csv")
+    jobs, report = parse_job_csv(path)
+    assert [j.task_id for j in jobs] == ["t1"]
+    assert report.errors == [RowError(0, "missing-value", "missing value in column TASK_ID")]
+
+
+def test_parse_reads_utf8_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "tasks.csv"
+    path.write_bytes(("\ufeff" + HEADER + "\r\nt1,simulación,Athena,1,1,2,100\r\n").encode("utf-8"))
+    ds = parse_task_csv(path)
+    assert ds.records == [TaskRecord("t1", "simulación", "Athena", 1, 1, 2, 100)]
+    header = ",".join(JOB_COLUMNS.values())
+    path = tmp_path / "jobs.csv"
+    path.write_bytes(("\ufeff" + header + "\nt1,100.0,0.0,10.0,10.0,5,1.0,1.0,1,0\n").encode("utf-8"))
+    jobs, report = parse_job_csv(path)
+    assert [j.task_id for j in jobs] == ["t1"] and report.n_rejected == 0
+
+
+def test_written_csv_is_utf8(tmp_path):
+    records = [TaskRecord("t1", "simulación", "Athéna", 1, 1, 2, 100)]
+    path = tmp_path / "tasks.csv"
+    write_task_csv(Dataset(records=records, vocabularies=build_vocabularies(records)), path)
+    assert "simulación,Athéna".encode("utf-8") in path.read_bytes()
+    assert parse_task_csv(path).records == records
+
+
+def test_parse_field_over_the_csv_size_limit_is_a_csv_error(tmp_path):
+    header = ",".join(JOB_COLUMNS.values())
+    long_id = "t" * (csv.field_size_limit() + 1)
+    path = write(tmp_path, header + "\n" + long_id + ",100.0,0.0,10.0,10.0,5,1.0,1.0,1,0\n", name="jobs.csv")
+    with pytest.raises(csv.Error, match="field larger than field limit"):
+        parse_job_csv(path)
+
+
+# --- the block reader against a per-row reference reader
+
+def reference_rows(path, record_type, columns, label_columns):
+    """The per-row csv.reader loop the block reader replaced, with an empty task id a missing value.
+
+    Returns the label columns present, the parsed (row index, record, labels)
+    rows and the report.
+    """
+    def parse_id(raw, column):
+        value = ingest._PARSERS[str](raw, column)
+        if not value:
+            raise CellError("missing-value", f"missing value in column {column}")
+        return value
+
+    report = ParseReport()
+    parsed = []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        position = {name: i for i, name in enumerate(header)}
+        types = get_type_hints(record_type)
+        plan = [(position[columns[f.name]], parse_id if f.name == "task_id" else ingest._PARSERS[types[f.name]],
+                 columns[f.name]) for f in fields(record_type)]
+        present = {key: col for key, col in label_columns.items() if col in position}
+        label_plan = [(position[col], col) for col in present.values()]
+        for cells in reader:
+            if not cells:
+                continue
+            i = report.n_rows
+            report.n_rows += 1
+            if len(cells) < len(header):
+                cells += [None] * (len(header) - len(cells))
+            try:
+                record = record_type(*[parse(cells[pos], col) for pos, parse, col in plan])
+                labels = [-1 if cells[pos] in ("", None) else ingest._parse_int(cells[pos], col)
+                          for pos, col in label_plan]
+            except CellError as exc:
+                report.errors.append(RowError(i, exc.kind, str(exc)))
+                continue
+            problem = record.validate()
+            if problem is not None:
+                report.errors.append(RowError(i, "invariant", problem))
+                continue
+            parsed.append((i, record, labels))
+    return present, parsed, report
+
+
+def reference_task_csv(path):
+    present, parsed, report = reference_rows(path, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS)
+    records, label_rows, seen = [], [], set()
+    for i, record, labels in parsed:
+        if record.task_id in seen:
+            report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
+            continue
+        seen.add(record.task_id)
+        records.append(record)
+        label_rows.append(labels)
+    report.errors.sort(key=lambda error: error.row_index)
+    report.n_parsed = len(records)
+    return records, {t: [row[j] for row in label_rows] for j, t in enumerate(present)}, report
+
+
+def reference_job_csv(path):
+    _, parsed, report = reference_rows(path, JobProfile, JOB_COLUMNS, {})
+    report.n_parsed = len(parsed)
+    return [job for _, job, _ in parsed], report
+
+
+# cells by kind: ones that parse, and ones that fail or break an invariant
+GOOD_CELLS = {
+    "id": ["t1", "t2", "t3", "t4", " t5 ", "t6"],
+    "str": ["sim", "reco", " Athena ", "", "x y"],
+    "int": ["1", "2", "4", "16", "3.0", "1e3", " 7 ", "1_000"],
+    "float": ["0.0", "10.0", "12.5", "1e6", " 3.25 ", "1_000.5"],
+    "bool": ["0", "1", "yes", "no", " TRUE ", "false", ""],
+    "label": ["0", "1", "3", ""],
+}
+BAD_CELLS = {
+    "id": ["", "   "],
+    "str": [""],
+    "int": ["0", "-1", "2.5", "nan", "inf", "1e400", "abc", ""],
+    "float": ["-1.5", "nan", "inf", "-inf", "1e400", "x", ""],
+    "bool": ["2"],
+    "label": [" ", "2.5", "x"],
+}
+ODD_CELLS = ['"5"', '"a,b"', '"2\n1"', '"t\r\n7"', '""', "a\x00b", 'x"y']
+
+
+def fuzzed_csv(rng, record_type, columns, label_columns):
+    """A CSV text: shuffled, repeated and extra columns; short, long and blank rows; odd cells and line ends."""
+    types = get_type_hints(record_type)
+    kinds = {col: "id" if name == "task_id" else types[name].__name__ for name, col in columns.items()}
+    kinds.update({col: "label" for col in label_columns.values() if rng.random() < 0.7})
+    header = list(kinds)
+    rng.shuffle(header)
+    if rng.random() < 0.3:
+        repeated = rng.choice(header)
+        header.insert(rng.randrange(len(header) + 1), repeated)
+    if rng.random() < 0.3:
+        header.insert(rng.randrange(len(header) + 1), "EXTRA")
+    odd = rng.random() < 0.3
+    crlf = rng.random()
+    lines = [",".join(header)]
+    for _ in range(rng.randrange(0, 16)):
+        if rng.random() < 0.08:
+            lines.append("")
+            continue
+        cells = [rng.choice((BAD_CELLS if rng.random() < 0.03 else GOOD_CELLS)[kinds[col]])
+                 if col in kinds else str(rng.randrange(9)) for col in header]
+        if odd and rng.random() < 0.3:
+            cells[rng.randrange(len(cells))] = rng.choice(ODD_CELLS)
+        if rng.random() < 0.05:
+            cells = cells[:rng.randrange(len(cells))]
+        elif rng.random() < 0.05:
+            cells += ["9"] * rng.randrange(1, 3)
+        lines.append(",".join(cells))
+    ends = ["\r\n" if rng.random() < crlf else "\n" for _ in lines]
+    if odd and rng.random() < 0.3:
+        ends[rng.randrange(len(ends))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if rng.random() < 0.9 else text.rstrip("\r\n")
+
+
+def typed(records):
+    return [[(type(v), v) for v in vars(r).values()] for r in records]
+
+
+def parsed_or_error(parse, path):
+    try:
+        return parse(path)
+    except csv.Error as exc:     # a NUL before Python 3.11
+        return repr(exc)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_reader_matches_per_row_reader(tmp_path, monkeypatch, seed):
+    monkeypatch.setattr(ingest, "CSV_BLOCK_LINES", 3)
+    rng = random.Random(seed)
+    path = tmp_path / "fuzzed.csv"
+    for _ in range(25):
+        path.write_bytes(fuzzed_csv(rng, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS).encode("utf-8"))
+        expected = parsed_or_error(reference_task_csv, path)
+        got = parsed_or_error(parse_task_csv, path)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            records, labels, report = expected
+            assert typed(got.records) == typed(records)
+            assert {t: v.tolist() for t, v in got.labels.items()} == labels
+            assert got.report == report
+
+        path.write_bytes(fuzzed_csv(rng, JobProfile, JOB_COLUMNS, {}).encode("utf-8"))
+        expected = parsed_or_error(reference_job_csv, path)
+        got = parsed_or_error(parse_job_csv, path)
+        if isinstance(expected, str):
+            assert got == expected
+        else:
+            assert typed(got[0]) == typed(expected[0])
+            assert got[1] == expected[1]
 
 
 # --- stratified splitting
