@@ -22,6 +22,12 @@ TASK_ID = ingest.TASK_COLUMNS["task_id"]
 TARGETS_CSV_HEADER = [TASK_ID, *TARGET_NAMES, "N_SCOUTS", "CPU_FILTER_FALLBACK"]
 
 
+def _warn_rejected(report: ingest.ParseReport, rows: str) -> None:
+    """Tell stderr how many of a CSV's rows were rejected, if any were."""
+    if report.n_rejected:
+        print(f"warning: rejected {report.n_rejected}/{report.n_rows} {rows} rows", file=sys.stderr)
+
+
 def _write_targets_csv(path: Path, task_ids: list[str], values: dict[str, np.ndarray],
                        n_scouts: np.ndarray, fallback: np.ndarray) -> None:
     # .tolist() gives Python floats, which csv writes as repr(float)
@@ -59,8 +65,20 @@ def _aligned_targets(dataset: ingest.Dataset, by_task: dict[str, dict[str, float
     }
 
 
+def _parse_tasks(path: str) -> ingest.Dataset:
+    dataset = ingest.parse_task_csv(path)
+    _warn_rejected(dataset.report, "task")
+    return dataset
+
+
+def _parse_jobs(path: str) -> list[ingest.JobProfile]:
+    jobs, report = ingest.parse_job_csv(path)
+    _warn_rejected(report, "job")
+    return jobs
+
+
 def _load_labeled(tasks_path: str, targets_path: str, bins) -> tuple[ingest.Dataset, dict[str, np.ndarray]]:
-    dataset = ingest.parse_task_csv(tasks_path)
+    dataset = _parse_tasks(tasks_path)
     values = _aligned_targets(dataset, _read_targets_csv(Path(targets_path)))
     return pipeline.label_dataset(dataset, values, bins), values
 
@@ -80,9 +98,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
-    jobs, report = ingest.parse_job_csv(args.jobs)
-    if report.n_rejected:
-        print(f"warning: rejected {report.n_rejected}/{report.n_rows} job rows", file=sys.stderr)
+    jobs = _parse_jobs(args.jobs)
     cfg = ResourceConfig(margin=args.margin, min_ram_count=args.min_ram)
     by_task = ingest.group_by_task(jobs)
     task_ids = np.asarray(sorted(by_task))
@@ -95,7 +111,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    dataset = ingest.parse_task_csv(args.data)
+    dataset = _parse_tasks(args.data)
     values = _aligned_targets(dataset, _read_targets_csv(Path(args.targets)))
     cfg = TrainConfig(
         learning_rate=args.learning_rate,
@@ -156,11 +172,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
         response = service.predict_request(artifact, doc)
         print(json.dumps(response, indent=2, sort_keys=True))
         return 0
-    dataset = ingest.parse_task_csv(args.data)
+    dataset = _parse_tasks(args.data)
     classes, _ = predict(artifact.models, dataset.records)
     with Path(args.out).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([TASK_ID] + [ingest.CLASS_COLUMNS[t] for t in TARGET_NAMES])
+        writer.writerow([TASK_ID, *(f"{target}_CLASS" for target in TARGET_NAMES)])
         writer.writerows((rec.task_id, *cls) for rec, cls in zip(dataset.records, classes))
     print(f"wrote predictions for {len(dataset)} tasks -> {args.out}")
     return 0
@@ -169,7 +185,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def _broker_inputs(args: argparse.Namespace, artifact) -> simsynth.BrokerInputs:
     bins = {t: artifact.models[t].bins for t in TARGET_NAMES}
     labeled, values = _load_labeled(args.data, args.targets, bins)
-    jobs_by_task = ingest.group_by_task(ingest.parse_job_csv(args.jobs)[0]) if args.jobs else None
+    jobs_by_task = ingest.group_by_task(_parse_jobs(args.jobs)) if args.jobs else None
     return simsynth.BrokerInputs(
         records=labeled.records,
         true_classes=np.column_stack([labeled.labels[t] for t in TARGET_NAMES]),

@@ -12,7 +12,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .ingest import NUMERIC_FEATURES, Dataset, TaskRecord, UNKNOWN_INDEX, build_vocabularies
+from .ingest import CATEGORICAL_FEATURES, NUMERIC_FEATURES, Dataset, TaskRecord
+
+# every vocabulary maps this token to this index, and encodes an unseen token as it
+UNKNOWN_INDEX = 0
+UNKNOWN_TOKEN = "<UNK>"
 
 
 def embed_dim(v: int) -> int:
@@ -74,6 +78,17 @@ class EncodedBatch:
             labels=None if self.labels is None else self.labels[indices],
             row_count=len(numeric),
         )
+
+
+def build_vocabularies(records: Sequence[TaskRecord]) -> dict[str, dict[str, int]]:
+    """Token -> index maps, one per categorical feature: UNKNOWN_TOKEN at UNKNOWN_INDEX, then the tokens from 1 in sorted order."""
+    vocabs: dict[str, dict[str, int]] = {}
+    for feature in CATEGORICAL_FEATURES:
+        tokens = sorted({getattr(r, feature) for r in records})
+        vocabs[feature] = {UNKNOWN_TOKEN: UNKNOWN_INDEX}
+        for i, tok in enumerate(tokens, start=1):
+            vocabs[feature][tok] = i
+    return vocabs
 
 
 def _transform(values: np.ndarray, transform: str, out: Optional[np.ndarray] = None) -> np.ndarray:

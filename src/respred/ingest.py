@@ -1,9 +1,10 @@
 """Task/job data model, CSV ingestion and stratified splitting.
 
-Tasks arrive as one CSV row per task (submission-time metadata, optionally
-pre-assigned class labels); job profiles arrive in a second CSV keyed by
-TASK_ID. Malformed rows are collected into a parse report instead of being
-silently dropped, so operational exports with a few bad lines still load.
+Tasks arrive as one CSV row per task (submission-time metadata only; class
+labels come from the targets and the bins, never from this file); job
+profiles arrive in a second CSV keyed by TASK_ID. Malformed rows are collected
+into a parse report instead of being silently dropped, so operational exports
+with a few bad lines still load.
 """
 
 from __future__ import annotations
@@ -18,11 +19,6 @@ from typing import ClassVar, Iterator, Mapping, Optional, Sequence, TextIO, get_
 
 import numpy as np
 
-from .discretize import TARGET_NAMES
-
-UNKNOWN_INDEX = 0
-UNKNOWN_TOKEN = "<UNK>"
-
 # Each record format is its column table (record field -> CSV column, in
 # field order) plus the field types of its dataclass; the CSV readers and
 # writers here and the /predict request in ``service`` are driven by them.
@@ -35,7 +31,6 @@ TASK_COLUMNS = {
     "n_files": "NFILES",
     "n_events": "NEVENTS",
 }
-CLASS_COLUMNS = {target: f"{target}_CLASS" for target in TARGET_NAMES}
 JOB_COLUMNS = {
     "task_id": "TASK_ID",
     "max_pss": "MAXPSS_MB",
@@ -108,6 +103,8 @@ class JobProfile:
             return "n_events_job must be non-negative"
         if self.core_power <= 0:
             return "core_power must be positive"
+        if self.core_count < 1:
+            return "core_count must be >= 1"
         return None
 
 
@@ -131,15 +128,12 @@ class ParseReport:
 
 @dataclass
 class Dataset:
-    """Parsed task records with optional class labels and categorical vocabularies.
+    """Parsed task records with optional class labels.
 
-    ``labels`` maps a target name to an int array aligned with ``records``
-    (-1 where the label is unknown). Vocabularies reserve index 0 for
-    unseen tokens; known tokens are numbered from 1 in sorted order.
+    ``labels`` maps a target name to an int array aligned with ``records``.
     """
 
     records: list[TaskRecord]
-    vocabularies: dict[str, dict[str, int]]
     labels: dict[str, np.ndarray] = field(default_factory=dict)
     report: Optional[ParseReport] = None
 
@@ -153,7 +147,6 @@ class Dataset:
         idx = list(indices)
         return Dataset(
             records=[self.records[i] for i in idx],
-            vocabularies=self.vocabularies,
             labels={k: v[idx] for k, v in self.labels.items()},
         )
 
@@ -164,18 +157,7 @@ class Dataset:
             if arr.shape != (len(self.records),):
                 raise ValueError(f"label column {name} must have one entry per record")
             merged[name] = arr
-        return Dataset(records=self.records, vocabularies=self.vocabularies, labels=merged)
-
-
-def build_vocabularies(records: Sequence[TaskRecord]) -> dict[str, dict[str, int]]:
-    """Token -> index maps with index 0 reserved for out-of-vocabulary tokens."""
-    vocabs: dict[str, dict[str, int]] = {}
-    for feature in CATEGORICAL_FEATURES:
-        tokens = sorted({getattr(r, feature) for r in records})
-        vocabs[feature] = {UNKNOWN_TOKEN: UNKNOWN_INDEX}
-        for i, tok in enumerate(tokens, start=1):
-            vocabs[feature][tok] = i
-    return vocabs
+        return Dataset(records=self.records, labels=merged)
 
 
 class CellError(ValueError):
@@ -233,11 +215,6 @@ def _parse_id(raw: Optional[str], column: str) -> str:
     if not value:
         raise CellError("missing-value", f"missing value in column {column}")
     return value
-
-
-def _parse_label(raw: Optional[str], column: str) -> int:
-    """A class label; a blank or missing cell is -1 (unknown)."""
-    return -1 if raw in ("", None) else _parse_int(raw, column)
 
 
 def _blocks(fh: TextIO, width: int) -> Iterator[Sequence[Sequence[Optional[str]]]]:
@@ -307,33 +284,28 @@ def _convert(cells: Sequence[Optional[str]], parse, column: str, failed: dict[in
     return values
 
 
-def _read_csv(fh: TextIO, record_type: type, columns: Mapping[str, str], label_columns: Mapping[str, str],
-              report: ParseReport) -> tuple[dict[str, str], Iterator[tuple[list[int], list, list[tuple[int, ...]]]]]:
-    """Check an open CSV's header; return the label columns it has and its rows, read a block at a time.
+def _read_csv(fh: TextIO, record_type: type, columns: Mapping[str, str],
+              report: ParseReport) -> Iterator[tuple[list[int], list]]:
+    """An open CSV's rows, a block at a time, as (row indices, records), once its header is checked.
 
-    Each block of rows is (row indices, records, labels), a row's labels read
-    from those columns in order. A row that does not parse by field type or
-    validate goes to ``report``, with the error of its first failing column in
-    field order, then label order; a block's failed rows are reported before
-    the block is yielded. Blank lines are not rows; a missing trailing field is
-    a missing value; extra fields are ignored; a repeated column name reads its
-    last column; an empty task id is a missing value.
+    A row that does not parse by field type or validate goes to ``report``,
+    with the error of its first failing column in field order; a block's
+    failed rows are reported before the block is yielded. Blank lines are not
+    rows; a missing trailing field is a missing value; extra fields are
+    ignored; a repeated column name reads its last column; an empty task id is
+    a missing value. A file that ``csv`` cannot read is a SchemaError.
     """
-    header = next(csv.reader(fh), None)
-    if header is None:
-        raise SchemaError(f"{fh.name}: empty file, header row required")
-    position = {name: i for i, name in enumerate(header)}
-    missing = [col for col in columns.values() if col not in position]
-    if missing:
-        raise SchemaError(f"{fh.name}: missing mandatory column(s) {', '.join(missing)}")
-    types = get_type_hints(record_type)
-    plan = [(position[columns[f.name]], _parse_id if f.name == "task_id" else _PARSERS[types[f.name]],
-             columns[f.name]) for f in fields(record_type)]
-    present = {key: col for key, col in label_columns.items() if col in position}
-    plan += [(position[col], _parse_label, col) for col in present.values()]
-    n_fields = len(fields(record_type))
-
-    def blocks() -> Iterator[tuple[list[int], list, list[tuple[int, ...]]]]:
+    try:
+        header = next(csv.reader(fh), None)
+        if header is None:
+            raise SchemaError(f"{fh.name}: empty file, header row required")
+        position = {name: i for i, name in enumerate(header)}
+        missing = [col for col in columns.values() if col not in position]
+        if missing:
+            raise SchemaError(f"{fh.name}: missing mandatory column(s) {', '.join(missing)}")
+        types = get_type_hints(record_type)
+        plan = [(position[columns[f.name]], _parse_id if f.name == "task_id" else _PARSERS[types[f.name]],
+                 columns[f.name]) for f in fields(record_type)]
         for cells in _blocks(fh, len(header)):
             first, n = report.n_rows, len(cells[0])
             report.n_rows += n
@@ -343,79 +315,65 @@ def _read_csv(fh: TextIO, record_type: type, columns: Mapping[str, str], label_c
             kept = [j for j in range(n) if j not in errors]
             if errors:
                 values = [[column[j] for j in kept] for column in values]
-            records = list(map(record_type, *values[:n_fields]))
-            labels = list(zip(*values[n_fields:])) if len(values) > n_fields else [()] * len(kept)
+            records = list(map(record_type, *values))
             for j, problem in zip(kept, map(record_type.validate, records)):
                 if problem is not None:
                     errors[j] = RowError(first + j, "invariant", problem)
             report.errors += [errors[j] for j in sorted(errors)]
             ok = [j not in errors for j in kept]
-            yield [first + j for j in compress(kept, ok)], list(compress(records, ok)), list(compress(labels, ok))
+            yield [first + j for j in compress(kept, ok)], list(compress(records, ok))
+    except csv.Error as exc:
+        raise SchemaError(f"{fh.name}: {exc}") from None
 
-    return present, blocks()
 
-
-def _write_csv(path: str | Path, record_type: type, columns: Mapping[str, str],
-               records: Sequence, labels: Mapping[str, Sequence[int]]) -> None:
-    """One row per record, each value written by its field type, then its labels (column -> labels)."""
+def _write_csv(path: str | Path, record_type: type, columns: Mapping[str, str], records: Sequence) -> None:
+    """One row per record, each value written by its field type."""
     types = get_type_hints(record_type)
     plan = [(f, _FORMATS.get(types[f], lambda v: v)) for f in columns]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow([*columns.values(), *labels])
-        for i, rec in enumerate(records):
-            writer.writerow([fmt(getattr(rec, f)) for f, fmt in plan]
-                            + [int(column[i]) for column in labels.values()])
+        writer.writerow(columns.values())
+        writer.writerows([fmt(getattr(rec, f)) for f, fmt in plan] for rec in records)
 
 
 def parse_task_csv(path: str | Path) -> Dataset:
-    """Parse a task CSV into a Dataset, collecting malformed rows in the report.
+    """Parse a task CSV into an unlabelled Dataset, collecting malformed rows in the report.
 
-    Class-label columns are read when present; a blank class cell is -1.
     The first row of a task id wins; later ones are duplicate-id errors.
     """
     report = ParseReport()
     records: list[TaskRecord] = []
-    label_rows: list[tuple[int, ...]] = []
     seen_ids: set[str] = set()
     with Path(path).open(newline="", encoding=CSV_ENCODING) as fh:
-        class_columns, blocks = _read_csv(fh, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS, report)
-        for index, block, block_labels in blocks:
-            for i, record, row_labels in zip(index, block, block_labels):
+        for index, block in _read_csv(fh, TaskRecord, TASK_COLUMNS, report):
+            for i, record in zip(index, block):
                 if record.task_id in seen_ids:
                     report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
                     continue
                 seen_ids.add(record.task_id)
                 records.append(record)
-                label_rows.append(row_labels)
     # the reader reports a block's failed rows before it yields the block
     report.errors.sort(key=lambda error: error.row_index)
     report.n_parsed = len(records)
-    labels = {
-        target: np.asarray([row[j] for row in label_rows], dtype=np.int64)
-        for j, target in enumerate(class_columns)
-    }
-    return Dataset(records=records, vocabularies=build_vocabularies(records), labels=labels, report=report)
+    return Dataset(records=records, report=report)
 
 
 def write_task_csv(dataset: Dataset, path: str | Path) -> None:
-    """Inverse of parse_task_csv; label columns are written when present."""
-    labels = {col: dataset.labels[t] for t, col in CLASS_COLUMNS.items() if t in dataset.labels}
-    _write_csv(path, TaskRecord, TASK_COLUMNS, dataset.records, labels)
+    """Inverse of parse_task_csv: the records' input columns, without labels."""
+    _write_csv(path, TaskRecord, TASK_COLUMNS, dataset.records)
 
 
 def parse_job_csv(path: str | Path) -> tuple[list[JobProfile], ParseReport]:
     """Parse the auxiliary job-profile CSV."""
     report = ParseReport()
     with Path(path).open(newline="", encoding=CSV_ENCODING) as fh:
-        _, blocks = _read_csv(fh, JobProfile, JOB_COLUMNS, {}, report)
-        jobs = [job for _, block, _ in blocks for job in block]
+        jobs = [job for _, block in _read_csv(fh, JobProfile, JOB_COLUMNS, report) for job in block]
     report.n_parsed = len(jobs)
     return jobs, report
 
 
 def write_job_csv(jobs: Sequence[JobProfile], path: str | Path) -> None:
-    _write_csv(path, JobProfile, JOB_COLUMNS, jobs, {})
+    _write_csv(path, JobProfile, JOB_COLUMNS, jobs)
 
 
 def group_by_task(jobs: Sequence[JobProfile]) -> dict[str, list[JobProfile]]:

@@ -38,8 +38,8 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .discretize import TARGET_NAMES, BinSpec, assign_class, class_to_allocation
-from .encode import CategoricalSpec, EncoderSpec, NumericSpec
-from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, UNKNOWN_INDEX, UNKNOWN_TOKEN, TaskRecord
+from .encode import UNKNOWN_INDEX, UNKNOWN_TOKEN, CategoricalSpec, EncoderSpec, NumericSpec
+from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, TaskRecord
 from .nnet import Network, TargetModel, TrainConfig, predict
 
 MAGIC = b"RPAF"

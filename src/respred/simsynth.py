@@ -28,7 +28,7 @@ from typing import Callable, ClassVar, Optional, Sequence, Union
 import numpy as np
 
 from .discretize import TARGET_NAMES, BinSpec, ResourceClasses, assign_classes
-from .ingest import Dataset, JobProfile, TaskRecord, build_vocabularies, group_by_task
+from .ingest import Dataset, JobProfile, TaskRecord, group_by_task
 from .targets import ResourceConfig, derive_tasks, derive_walltime
 
 HOUR = 3600.0
@@ -168,8 +168,7 @@ def generate(spec: GeneratorSpec) -> SynthResult:
             rng, spec, task_id, core_count, n_jobs, events_per_job, ram, cpu, io,
         ))
 
-    dataset = Dataset(records=records, vocabularies=build_vocabularies(records))
-    return SynthResult(dataset=dataset, targets=targets, jobs=jobs)
+    return SynthResult(dataset=Dataset(records=records), targets=targets, jobs=jobs)
 
 
 def _synthesize_jobs(

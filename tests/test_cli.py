@@ -273,3 +273,48 @@ def test_derived_targets_close_to_synth_truth(workdir):
     assert set(derived) == set(truth)
     ratios = [derived[t]["RAMCOUNT"] / truth[t]["RAMCOUNT"] for t in truth]
     assert np.median(np.abs(np.log(ratios))) < 0.3
+
+
+JOBS_HEADER = "TASK_ID,MAXPSS_MB,STARTTIME,ENDTIME,COREPOWER,NEVENTS_JOB,INPUT_BYTES,OUTPUT_BYTES,CORECOUNT,IS_SCOUT"
+
+
+def test_derive_rejects_a_job_with_core_count_below_one_as_a_row(tmp_path, capsys):
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text(JOBS_HEADER + "\n"
+                    "t1,2000.0,0.0,3600.0,10.0,100,1e9,1e8,1,1\n"
+                    "t2,2000.0,0.0,3600.0,10.0,100,1e9,1e8,0,1\n")
+    out = tmp_path / "targets.csv"
+    assert main(["derive", "--jobs", str(jobs), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == "warning: rejected 1/2 job rows\n"
+    assert [line.split(",")[0] for line in out.read_text().splitlines()] == ["TASK_ID", "t1"]
+
+
+def test_field_over_the_csv_size_limit_exits_2_naming_the_file(tmp_path, capsys):
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text(JOBS_HEADER + "\n" + "t" * 200_000 + ",2000.0,0.0,3600.0,10.0,100,1e9,1e8,1,1\n")
+    assert main(["derive", "--jobs", str(jobs), "--out", str(tmp_path / "targets.csv")]) == 2
+    assert capsys.readouterr().err == f"error: {jobs}: field larger than field limit (131072)\n"
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "predict", "simulate"])
+def test_rejected_task_rows_are_reported(workdir, tmp_path, capsys, command):
+    tasks = tmp_path / "tasks.csv"
+    tasks.write_text((workdir / "tasks.csv").read_text() + "bad,sim,Athena,abc,1,2,100\n")
+    jobs = tmp_path / "jobs.csv"
+    jobs.write_text((workdir / "jobs.csv").read_text() + "bad,2000.0,0.0,3600.0,10.0,100,1e9,1e8,0,1\n")
+    n_jobs = len(jobs.read_text().splitlines()) - 1
+    data = ["--data", str(tasks)]
+    labeled = [*data, "--targets", str(workdir / "targets.csv")]
+    artifact = str(workdir / "artifact.rpa")
+    argv = {
+        "train": ["train", *labeled, "--out", str(tmp_path / "a.rpa"), "--max-epochs", "1", "--hidden", "4,3,2"],
+        "evaluate": ["evaluate", "--artifact", artifact, *labeled],
+        "predict": ["predict", "--artifact", artifact, *data, "--out", str(tmp_path / "preds.csv")],
+        "simulate": ["simulate", "--mode", "both", "--tasks", str(tasks), "--targets", str(workdir / "targets.csv"),
+                     "--jobs", str(jobs), "--model-dir", artifact],
+    }[command]
+    assert main(argv) == 0
+    expected = "warning: rejected 1/1501 task rows\n"
+    if command == "simulate":
+        expected += f"warning: rejected 1/{n_jobs} job rows\n"
+    assert capsys.readouterr().err == expected

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from respred.encode import embed_dim, encode, fit_encoder
-from respred.ingest import UNKNOWN_INDEX, UNKNOWN_TOKEN, Dataset, TaskRecord, build_vocabularies
+from respred.encode import UNKNOWN_INDEX, UNKNOWN_TOKEN, build_vocabularies, embed_dim, encode, fit_encoder
+from respred.ingest import Dataset, TaskRecord
 
 
 def records_from(rows):
@@ -25,8 +25,7 @@ def records_from(rows):
 
 
 def dataset_from(rows):
-    recs = records_from(rows)
-    return Dataset(records=recs, vocabularies=build_vocabularies(recs))
+    return Dataset(records=records_from(rows))
 
 
 def test_embed_dim_small_values():
@@ -82,7 +81,7 @@ def test_fit_encoder_embed_dims_from_vocab():
 
 def test_fit_encoder_empty_rejected():
     with pytest.raises(ValueError):
-        fit_encoder(Dataset(records=[], vocabularies={}))
+        fit_encoder(Dataset(records=[]))
 
 
 def test_encode_unseen_token_maps_to_zero():
@@ -92,9 +91,19 @@ def test_encode_unseen_token_maps_to_zero():
     assert batch.categorical_indices["framework"][0] == 0
 
 
+def test_build_vocabularies_numbers_tokens_from_one_in_sorted_order():
+    vocabs = build_vocabularies(records_from([{"pt": "sim", "fw": "Athena"}, {"pt": "sim", "fw": "AthSim"},
+                                              {"pt": "reco", "fw": "Athena"}]))
+    assert vocabs == {
+        "processing_type": {UNKNOWN_TOKEN: 0, "reco": 1, "sim": 2},
+        "framework": {UNKNOWN_TOKEN: 0, "AthSim": 1, "Athena": 2},
+    }
+    assert build_vocabularies([]) == {"processing_type": {UNKNOWN_TOKEN: 0}, "framework": {UNKNOWN_TOKEN: 0}}
+
+
 def test_vocabulary_fit_on_training_rows_only():
-    # a split part carries its corpus's vocabularies; a token seen only outside
-    # training must still encode as unknown, not as an untrained embedding row
+    # a token seen only outside training must encode as unknown, not as an
+    # untrained embedding row
     corpus = dataset_from([{"fw": "A"}, {"fw": "B"}, {"fw": "A"}, {"fw": "TEST_ONLY"}])
     spec = fit_encoder(corpus.subset([0, 1, 2]))
     fw = next(c for c in spec.categorical if c.name == "framework")

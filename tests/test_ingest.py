@@ -2,6 +2,7 @@
 
 import csv
 import random
+import re
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -9,8 +10,8 @@ import numpy as np
 import pytest
 
 from respred import ingest
+from respred.discretize import TARGET_NAMES
 from respred.ingest import (
-    CLASS_COLUMNS,
     JOB_COLUMNS,
     TASK_COLUMNS,
     CellError,
@@ -21,7 +22,6 @@ from respred.ingest import (
     SchemaError,
     SplitSpec,
     TaskRecord,
-    build_vocabularies,
     parse_job_csv,
     parse_task_csv,
     stratified_split,
@@ -38,23 +38,10 @@ def write(tmp_path, body, name="tasks.csv"):
     return path
 
 
-def test_parse_vocabulary_counts(tmp_path):
-    path = write(tmp_path, HEADER + "\n"
-                 "t1,sim,Athena,1,1,2,100\n"
-                 "t2,sim,AthSim,2,1,2,100\n"
-                 "t3,reco,Athena,4,1,2,100\n")
-    ds = parse_task_csv(path)
-    assert len(ds) == 3
-    assert len(ds.vocabularies["framework"]) == 3     # UNKNOWN + 2
-    assert len(ds.vocabularies["processing_type"]) == 3
-    assert ds.vocabularies["framework"]["<UNK>"] == 0
-    assert sorted(ds.vocabularies["framework"].values()) == [0, 1, 2]
-
-
 def test_parse_empty_file_valid_header(tmp_path):
     ds = parse_task_csv(write(tmp_path, HEADER + "\n"))
     assert len(ds) == 0
-    assert all(len(v) == 1 for v in ds.vocabularies.values())
+    assert (ds.report.n_rows, ds.report.n_rejected) == (0, 0)
 
 
 def test_parse_rejects_non_numeric_row(tmp_path):
@@ -92,14 +79,30 @@ def test_parse_invariant_violations_collected(tmp_path):
     assert kinds == ["duplicate-id", "invariant", "invariant"]
 
 
-def test_parse_reads_class_columns(tmp_path):
-    path = write(tmp_path, HEADER + ",RAMCOUNT_CLASS,CPUTIME_CLASS,IOINTENSITY_CLASS,WALLTIME_CLASS\n"
-                 "t1,sim,Athena,1,1,2,100,2,4,1,0\n")
+def test_parse_ignores_class_columns(tmp_path):
+    # labels come from the targets and the bins, so a class column is an extra column
+    path = write(tmp_path, HEADER + ",RAMCOUNT_CLASS,CPUTIME_CLASS\n"
+                 "t1,sim,Athena,1,1,2,100,x,2\n"
+                 "t2,sim,Athena,1,1,2,100,2.5,\n"
+                 "t3,sim,Athena,1,1,2,100,,\n"
+                 "t4,sim,Athena,1,1,2,100\n")
     ds = parse_task_csv(path)
-    assert ds.labels["RAMCOUNT"][0] == 2
-    assert ds.labels["CPUTIME"][0] == 4
-    assert ds.labels["IOINTENSITY"][0] == 1
-    assert ds.labels["WALLTIME"][0] == 0
+    assert [r.task_id for r in ds.records] == ["t1", "t2", "t3", "t4"]
+    assert ds.report.n_rejected == 0
+    assert ds.labels == {}
+
+
+def test_parse_job_core_count_below_one_is_invariant(tmp_path):
+    header = ",".join(JOB_COLUMNS.values())
+    path = write(tmp_path, header + "\n"
+                 "t1,100.0,0.0,10.0,10.0,5,1.0,1.0,0,1\n"
+                 "t2,100.0,0.0,10.0,10.0,5,1.0,1.0,1,1\n"
+                 "t3,100.0,20.0,10.0,10.0,5,1.0,1.0,-2,1\n", name="jobs.csv")
+    jobs, report = parse_job_csv(path)
+    assert [j.task_id for j in jobs] == ["t2"]
+    # the earlier invariants keep their messages
+    assert report.errors == [RowError(0, "invariant", "core_count must be >= 1"),
+                             RowError(2, "invariant", "end_time must be >= start_time")]
 
 
 def test_task_csv_round_trip(tmp_path):
@@ -116,14 +119,13 @@ def test_task_csv_round_trip(tmp_path):
         )
         for i in range(40)
     ]
-    ds = Dataset(records=records, vocabularies=build_vocabularies(records))
-    ds = ds.with_labels({"RAMCOUNT": rng.integers(0, 4, size=40)})
+    ds = Dataset(records=records).with_labels({"RAMCOUNT": rng.integers(0, 4, size=40)})
     path = tmp_path / "rt.csv"
     write_task_csv(ds, path)
+    assert path.read_text().splitlines()[0] == HEADER     # labels are not written
     back = parse_task_csv(path)
     assert back.records == ds.records
-    assert back.vocabularies == ds.vocabularies
-    assert np.array_equal(back.labels["RAMCOUNT"], ds.labels["RAMCOUNT"])
+    assert back.labels == {}
 
 
 def test_job_csv_round_trip(tmp_path):
@@ -185,12 +187,6 @@ def test_parse_short_row_is_missing_value_naming_first_missing_column(tmp_path):
     (err,) = ds.report.errors
     assert err.kind == "missing-value"
     assert "NFILES" in err.message and "NEVENTS" not in err.message
-
-
-def test_parse_short_row_leaves_class_label_unknown(tmp_path):
-    path = write(tmp_path, HEADER + ",RAMCOUNT_CLASS\n"
-                 "t1,sim,Athena,1,1,2,100\n")
-    assert parse_task_csv(path).labels["RAMCOUNT"].tolist() == [-1]
 
 
 def test_parse_ignores_extra_fields(tmp_path):
@@ -270,26 +266,29 @@ def test_parse_reads_utf8_with_a_byte_order_mark(tmp_path):
 def test_written_csv_is_utf8(tmp_path):
     records = [TaskRecord("t1", "simulación", "Athéna", 1, 1, 2, 100)]
     path = tmp_path / "tasks.csv"
-    write_task_csv(Dataset(records=records, vocabularies=build_vocabularies(records)), path)
+    write_task_csv(Dataset(records=records), path)
     assert "simulación,Athéna".encode("utf-8") in path.read_bytes()
     assert parse_task_csv(path).records == records
 
 
-def test_parse_field_over_the_csv_size_limit_is_a_csv_error(tmp_path):
+def test_parse_field_over_the_csv_size_limit_is_a_schema_error_naming_the_file(tmp_path):
     header = ",".join(JOB_COLUMNS.values())
     long_id = "t" * (csv.field_size_limit() + 1)
     path = write(tmp_path, header + "\n" + long_id + ",100.0,0.0,10.0,10.0,5,1.0,1.0,1,0\n", name="jobs.csv")
-    with pytest.raises(csv.Error, match="field larger than field limit"):
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: field larger than field limit"):
         parse_job_csv(path)
+    # in the header too
+    path = write(tmp_path, long_id + "," + HEADER + "\n")
+    with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: field larger than field limit"):
+        parse_task_csv(path)
 
 
 # --- the block reader against a per-row reference reader
 
-def reference_rows(path, record_type, columns, label_columns):
+def reference_rows(path, record_type, columns):
     """The per-row csv.reader loop the block reader replaced, with an empty task id a missing value.
 
-    Returns the label columns present, the parsed (row index, record, labels)
-    rows and the report.
+    Returns the parsed (row index, record) rows and the report.
     """
     def parse_id(raw, column):
         value = ingest._PARSERS[str](raw, column)
@@ -306,8 +305,6 @@ def reference_rows(path, record_type, columns, label_columns):
         types = get_type_hints(record_type)
         plan = [(position[columns[f.name]], parse_id if f.name == "task_id" else ingest._PARSERS[types[f.name]],
                  columns[f.name]) for f in fields(record_type)]
-        present = {key: col for key, col in label_columns.items() if col in position}
-        label_plan = [(position[col], col) for col in present.values()]
         for cells in reader:
             if not cells:
                 continue
@@ -317,8 +314,6 @@ def reference_rows(path, record_type, columns, label_columns):
                 cells += [None] * (len(header) - len(cells))
             try:
                 record = record_type(*[parse(cells[pos], col) for pos, parse, col in plan])
-                labels = [-1 if cells[pos] in ("", None) else ingest._parse_int(cells[pos], col)
-                          for pos, col in label_plan]
             except CellError as exc:
                 report.errors.append(RowError(i, exc.kind, str(exc)))
                 continue
@@ -326,30 +321,32 @@ def reference_rows(path, record_type, columns, label_columns):
             if problem is not None:
                 report.errors.append(RowError(i, "invariant", problem))
                 continue
-            parsed.append((i, record, labels))
-    return present, parsed, report
+            parsed.append((i, record))
+    return parsed, report
 
 
 def reference_task_csv(path):
-    present, parsed, report = reference_rows(path, TaskRecord, TASK_COLUMNS, CLASS_COLUMNS)
-    records, label_rows, seen = [], [], set()
-    for i, record, labels in parsed:
+    parsed, report = reference_rows(path, TaskRecord, TASK_COLUMNS)
+    records, seen = [], set()
+    for i, record in parsed:
         if record.task_id in seen:
             report.errors.append(RowError(i, "duplicate-id", f"duplicate task_id {record.task_id}"))
             continue
         seen.add(record.task_id)
         records.append(record)
-        label_rows.append(labels)
     report.errors.sort(key=lambda error: error.row_index)
     report.n_parsed = len(records)
-    return records, {t: [row[j] for row in label_rows] for j, t in enumerate(present)}, report
+    return records, report
 
 
 def reference_job_csv(path):
-    _, parsed, report = reference_rows(path, JobProfile, JOB_COLUMNS, {})
+    parsed, report = reference_rows(path, JobProfile, JOB_COLUMNS)
     report.n_parsed = len(parsed)
-    return [job for _, job, _ in parsed], report
+    return [job for _, job in parsed], report
 
+
+# the class-label columns that task CSVs once carried; the reader ignores them
+CLASS_COLUMNS = [f"{target}_CLASS" for target in TARGET_NAMES]
 
 # cells by kind: ones that parse, and ones that fail or break an invariant
 GOOD_CELLS = {
@@ -358,7 +355,7 @@ GOOD_CELLS = {
     "int": ["1", "2", "4", "16", "3.0", "1e3", " 7 ", "1_000"],
     "float": ["0.0", "10.0", "12.5", "1e6", " 3.25 ", "1_000.5"],
     "bool": ["0", "1", "yes", "no", " TRUE ", "false", ""],
-    "label": ["0", "1", "3", ""],
+    "class": ["0", "1", "3", ""],
 }
 BAD_CELLS = {
     "id": ["", "   "],
@@ -366,16 +363,19 @@ BAD_CELLS = {
     "int": ["0", "-1", "2.5", "nan", "inf", "1e400", "abc", ""],
     "float": ["-1.5", "nan", "inf", "-inf", "1e400", "x", ""],
     "bool": ["2"],
-    "label": [" ", "2.5", "x"],
+    "class": [" ", "2.5", "x"],
 }
 ODD_CELLS = ['"5"', '"a,b"', '"2\n1"', '"t\r\n7"', '""', "a\x00b", 'x"y']
 
 
-def fuzzed_csv(rng, record_type, columns, label_columns):
-    """A CSV text: shuffled, repeated and extra columns; short, long and blank rows; odd cells and line ends."""
+def fuzzed_csv(rng, record_type, columns, class_columns):
+    """A CSV text: shuffled, repeated and extra columns; short, long and blank rows; odd cells and line ends.
+
+    Each of ``class_columns`` is there with a chance of 0.7, as an extra column of class-label cells.
+    """
     types = get_type_hints(record_type)
     kinds = {col: "id" if name == "task_id" else types[name].__name__ for name, col in columns.items()}
-    kinds.update({col: "label" for col in label_columns.values() if rng.random() < 0.7})
+    kinds.update({col: "class" for col in class_columns if rng.random() < 0.7})
     header = list(kinds)
     rng.shuffle(header)
     if rng.random() < 0.3:
@@ -413,8 +413,10 @@ def typed(records):
 def parsed_or_error(parse, path):
     try:
         return parse(path)
-    except csv.Error as exc:     # a NUL before Python 3.11
-        return repr(exc)
+    except csv.Error as exc:     # the reference reader, on a NUL before Python 3.11
+        return f"{path}: {exc}"
+    except SchemaError as exc:
+        return str(exc)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -429,12 +431,12 @@ def test_block_reader_matches_per_row_reader(tmp_path, monkeypatch, seed):
         if isinstance(expected, str):
             assert got == expected
         else:
-            records, labels, report = expected
+            records, report = expected
             assert typed(got.records) == typed(records)
-            assert {t: v.tolist() for t, v in got.labels.items()} == labels
+            assert got.labels == {}
             assert got.report == report
 
-        path.write_bytes(fuzzed_csv(rng, JobProfile, JOB_COLUMNS, {}).encode("utf-8"))
+        path.write_bytes(fuzzed_csv(rng, JobProfile, JOB_COLUMNS, ()).encode("utf-8"))
         expected = parsed_or_error(reference_job_csv, path)
         got = parsed_or_error(parse_job_csv, path)
         if isinstance(expected, str):
@@ -459,8 +461,7 @@ def labeled_dataset(class_sizes, seed=0):
             ))
             labels.append(cls)
             i += 1
-    ds = Dataset(records=records, vocabularies=build_vocabularies(records))
-    return ds.with_labels({"RAMCOUNT": np.asarray(labels)})
+    return Dataset(records=records).with_labels({"RAMCOUNT": np.asarray(labels)})
 
 
 def test_split_proportional_counts():
@@ -524,7 +525,7 @@ def test_split_small_class_falls_back_to_random():
 
 
 def test_split_empty_rejected():
-    ds = Dataset(records=[], vocabularies={})
+    ds = Dataset(records=[])
     with pytest.raises(ValueError):
         stratified_split(ds, SplitSpec())
 
