@@ -40,25 +40,31 @@ def _write_targets_csv(path: Path, task_ids: list[str], values: dict[str, np.nda
 
 
 def _read_targets_csv(path: Path) -> dict[str, dict[str, float]]:
-    """TASK_ID -> {target: value}; a missing, non-numeric or non-finite value is a SchemaError."""
+    """TASK_ID -> {target: value}; a bad value or id, a repeated id or an unreadable file is a SchemaError."""
     out: dict[str, dict[str, float]] = {}
     with path.open(newline="", encoding=ingest.CSV_ENCODING) as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in TARGETS_CSV_HEADER[:5] if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ingest.SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
-        for row in reader:
-            try:
-                out[row[TASK_ID]] = {t: ingest._parse_float(row[t], t) for t in TARGET_NAMES}
-            except ValueError as exc:
-                raise ingest.SchemaError(f"{path} line {reader.line_num}: {exc}") from None
+        try:
+            missing = [c for c in TARGETS_CSV_HEADER[:5] if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ingest.SchemaError(f"{path}: missing column(s) {', '.join(missing)}")
+            for row in reader:
+                try:
+                    task_id = ingest._parse_id(row[TASK_ID], TASK_ID)
+                    if task_id in out:
+                        raise ValueError(f"duplicate {TASK_ID} {task_id}")
+                    out[task_id] = {t: ingest._parse_float(row[t], t) for t in TARGET_NAMES}
+                except ValueError as exc:
+                    raise ingest.SchemaError(f"{path} line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise ingest.SchemaError(f"{path}: {exc}") from None
     return out
 
 
 def _aligned_targets(dataset: ingest.Dataset, by_task: dict[str, dict[str, float]]) -> dict[str, np.ndarray]:
     missing = [r.task_id for r in dataset.records if r.task_id not in by_task]
     if missing:
-        raise ValueError(f"{len(missing)} task(s) lack target rows, first: {missing[0]}")
+        raise ingest.SchemaError(f"{len(missing)} task(s) lack target rows, first: {missing[0]}")
     return {
         t: np.asarray([by_task[r.task_id][t] for r in dataset.records])
         for t in TARGET_NAMES
@@ -239,6 +245,9 @@ def _artifact_path(model_dir: str) -> Path:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     artifact = service.load_artifact(args.artifact)
+    if args.feedback_log:
+        # a log that cannot be appended to stops the start, not every /feedback after it
+        Path(args.feedback_log).open("a").close()
     svc = service.PredictionService(artifact, feedback_log=args.feedback_log)
     service.serve_forever(svc, args.bind)
     return 0

@@ -11,9 +11,13 @@ held out from all four heads, and the saved artifact carries one encoder.
 interpreter (``sys.executable``) with one BLAS thread; at these layer
 widths a second BLAS thread buys nothing, while a second core running a
 second head halves the wait. The job, ``train_target``'s arguments for all
-four heads, is pickled once and written to every worker's stdin; each
-worker pickles its ``TrainedTarget`` back on stdout, with the encoder, the
-test split and the bins sent as references to the caller's own objects.
+four heads, is pickled once and written to every worker's stdin. Training
+one head is two steps: ``_fit`` computes the network, its report, the test
+accuracy and the majority baseline, and ``_trained`` wraps those four
+values around the caller's own encoder, test split and bins. A worker
+sends back ``_fit``'s four values as a plain pickle on stdout, and the
+caller wraps them, so the heads share the caller's objects in process and
+across processes alike.
 A worker peaks at about 81 MB resident on the acceptance workload. A
 worker's exception is raised again in the caller, or, if it does not
 unpickle, a RuntimeError carrying its traceback; every worker is reaped
@@ -24,7 +28,6 @@ before ``train_all`` returns or raises.
 from __future__ import annotations
 
 import contextlib
-import io
 import os
 import pickle
 import subprocess
@@ -95,6 +98,12 @@ def train_target(
     hidden: tuple[int, ...] = (256, 128, 64),
 ) -> TrainedTarget:
     """Train one head on the shared batches; report held-out accuracy."""
+    return _trained(data, target, bins, *_fit(data, target, bins, cfg, hidden))
+
+
+def _fit(data: EncodedSplit, target: str, bins: BinSpec, cfg: TrainConfig,
+         hidden: tuple[int, ...]) -> tuple[Network, TrainReport, float, float]:
+    """What training one head computes: its network, report, test accuracy and majority baseline."""
     train_batch, val_batch, test_batch = (
         replace(batch, labels=part.labels[target]) for batch, part in zip(data.batches, data.split)
     )
@@ -106,21 +115,16 @@ def train_target(
     counts = np.bincount(train_batch.labels, minlength=bins.n_classes)
     majority = int(counts.argmax())
     baseline = float((test_batch.labels == majority).mean())
+    return net, report, test_acc, baseline
 
-    model = TargetModel(
-        target=target,
-        net=net,
-        encoder=data.encoder,
-        bins=bins,
-        train_summary=report.summary(),
-    )
-    return TrainedTarget(
-        model=model,
-        report=report,
-        test=data.split.test,
-        test_accuracy=test_acc,
-        majority_baseline=baseline,
-    )
+
+def _trained(data: EncodedSplit, target: str, bins: BinSpec, net: Network, report: TrainReport,
+             test_accuracy: float, majority_baseline: float) -> TrainedTarget:
+    """A head's fitted values around the split's own encoder and test part, and the head's bins."""
+    model = TargetModel(target=target, net=net, encoder=data.encoder, bins=bins,
+                        train_summary=report.summary())
+    return TrainedTarget(model=model, report=report, test=data.split.test,
+                         test_accuracy=test_accuracy, majority_baseline=majority_baseline)
 
 
 def encode_split(
@@ -158,35 +162,12 @@ _WORKER_MAIN = ("import signal; signal.signal(signal.SIGINT, signal.SIG_IGN); "
                 "from respred.pipeline import _train_worker; _train_worker()")
 
 
-def _shared(data: EncodedSplit, bins: BinSpec) -> tuple:
-    """Objects of the job that a worker's result refers to, and that it sends back by position."""
-    return data.encoder, data.split.test, bins
-
-
-class _SharedPickler(pickle.Pickler):
-    def __init__(self, file, shared: tuple) -> None:
-        super().__init__(file, pickle.HIGHEST_PROTOCOL)
-        self.shared = shared
-
-    def persistent_id(self, obj):
-        return next((i for i, s in enumerate(self.shared) if obj is s), None)
-
-
-class _SharedUnpickler(pickle.Unpickler):
-    def __init__(self, file, shared: tuple) -> None:
-        super().__init__(file)
-        self.shared = shared
-
-    def persistent_load(self, pid):
-        return self.shared[pid]
-
-
 def _train_in_workers(
     data: EncodedSplit,
     heads: list[tuple[str, BinSpec, TrainConfig]],
     hidden: tuple[int, ...],
 ) -> dict[str, TrainedTarget]:
-    """``train_target(data, *head, hidden)`` for every head, each in its own worker process."""
+    """``train_target(data, *head, hidden)`` for every head, with each ``_fit`` in its own worker process."""
     job = pickle.dumps((data, heads, hidden), pickle.HIGHEST_PROTOCOL)
     env = dict(
         os.environ,
@@ -205,7 +186,7 @@ def _train_in_workers(
                 proc.stdin.write(job)
             with contextlib.suppress(BrokenPipeError):
                 proc.stdin.close()
-        return {target: _collect(proc, target, _shared(data, bins))
+        return {target: _trained(data, target, bins, *_collect(proc, target))
                 for proc, (target, bins, _) in zip(workers, heads)}
     finally:
         for proc in workers:
@@ -217,13 +198,13 @@ def _train_in_workers(
                 proc.stdin.close()
 
 
-def _collect(proc: subprocess.Popen, target: str, shared: tuple) -> TrainedTarget:
-    """One worker's TrainedTarget, or its exception raised again here."""
+def _collect(proc: subprocess.Popen, target: str) -> tuple[Network, TrainReport, float, float]:
+    """One worker's ``_fit`` values, or its exception raised again here."""
     reply = proc.stdout.read()
     code = proc.wait()
     if not reply:
         raise RuntimeError(f"the training worker for {target} exited with code {code} and sent no result")
-    status, *rest = _SharedUnpickler(io.BytesIO(reply), shared).load()
+    status, *rest = pickle.loads(reply)
     if status == "ok":
         return rest[0]
     blob, worker_traceback = rest
@@ -236,23 +217,20 @@ def _collect(proc: subprocess.Popen, target: str, shared: tuple) -> TrainedTarge
 
 
 def _train_worker() -> None:
-    """A worker's body: one head's job from stdin, its pickled outcome to stdout."""
+    """A worker's body: one head's job from stdin, its pickled ``_fit`` values to stdout."""
     out = sys.stdout.buffer
     sys.stdout = sys.stderr        # a stray print must not corrupt the reply
-    reply = io.BytesIO()
     try:
         data, heads, hidden = pickle.load(sys.stdin.buffer)
         target, bins, cfg = heads[int(sys.argv[1])]
-        trained = train_target(data, target, bins, cfg, hidden)
-        _SharedPickler(reply, _shared(data, bins)).dump(("ok", trained))
+        reply = pickle.dumps(("ok", _fit(data, target, bins, cfg, hidden)), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         try:
             blob = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)
         except Exception:
             blob = b""
-        reply = io.BytesIO()
-        pickle.dump(("error", blob, traceback.format_exc()), reply)
-    out.write(reply.getvalue())
+        reply = pickle.dumps(("error", blob, traceback.format_exc()))
+    out.write(reply)
     out.flush()
 
 

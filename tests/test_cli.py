@@ -65,6 +65,61 @@ def test_train_bad_target_value_exits_2_naming_row_and_column(workdir, tmp_path,
     assert str(targets) in err and "line 4" in err and "RAMCOUNT" in err and repr(bad) in err
 
 
+def _train_on_targets(workdir, tmp_path, lines):
+    targets = tmp_path / "targets.csv"
+    targets.write_text("\n".join(lines) + "\n")
+    code = main([
+        "train", "--data", str(workdir / "tasks.csv"), "--targets", str(targets),
+        "--out", str(tmp_path / "artifact.rpa"), "--max-epochs", "1", "--hidden", "4,3,2",
+    ])
+    return code, targets
+
+
+def test_train_reads_a_target_id_as_the_task_csv_does(workdir, tmp_path, capsys):
+    lines = (workdir / "targets.csv").read_text().splitlines()
+    lines[1] = " " + lines[1].replace(",", " ,", 1)
+    code, _ = _train_on_targets(workdir, tmp_path, lines)
+    assert code == 0, capsys.readouterr().err
+
+
+def test_train_refuses_an_empty_target_id_naming_its_line(workdir, tmp_path, capsys):
+    lines = (workdir / "targets.csv").read_text().splitlines()
+    lines.insert(3, "  " + lines[3][lines[3].index(","):])
+    code, targets = _train_on_targets(workdir, tmp_path, lines)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{targets} line 4: missing value in column TASK_ID" in err
+
+
+def test_train_refuses_a_repeated_target_id_naming_its_line(workdir, tmp_path, capsys):
+    lines = (workdir / "targets.csv").read_text().splitlines()
+    lines.append(lines[2])
+    code, targets = _train_on_targets(workdir, tmp_path, lines)
+    assert code == 2
+    task_id = lines[2].split(",")[0]
+    assert capsys.readouterr().err == f"error: {targets} line {len(lines)}: duplicate TASK_ID {task_id}\n"
+
+
+@pytest.mark.parametrize("where", ["header", "row"])
+def test_train_targets_field_over_the_csv_size_limit_exits_2_naming_the_file(workdir, tmp_path, capsys, where):
+    lines = (workdir / "targets.csv").read_text().splitlines()
+    if where == "header":
+        lines[0] += "," + "x" * 200_000
+    else:
+        lines[1] = "t" * 200_000 + lines[1][lines[1].index(","):]
+    code, targets = _train_on_targets(workdir, tmp_path, lines)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {targets}: field larger than field limit (131072)\n"
+
+
+def test_train_task_without_a_target_row_exits_2(workdir, tmp_path, capsys):
+    lines = (workdir / "targets.csv").read_text().splitlines()
+    task_id = lines.pop(1).split(",")[0]
+    code, _ = _train_on_targets(workdir, tmp_path, lines)
+    assert code == 2
+    assert capsys.readouterr().err == f"error: 1 task(s) lack target rows, first: {task_id}\n"
+
+
 @pytest.mark.parametrize("flag, value, field", [
     ("--batch-size", "-5", "batch_size"),
     ("--batch-size", "0", "batch_size"),
@@ -264,6 +319,23 @@ def test_serve_refuses_a_corrupt_feedback_log_in_one_line(workdir, tmp_path, cap
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert f"{log_path} line 1" in err
+
+
+def test_serve_refuses_a_feedback_log_it_cannot_open_in_one_line(workdir, tmp_path, capsys, monkeypatch):
+    from respred import service
+
+    def serve_forever(svc, bind):
+        raise AssertionError("served with a feedback log that cannot be written")
+
+    monkeypatch.setattr(service, "serve_forever", serve_forever)
+    log_path = tmp_path / "absent" / "fb.jsonl"
+    code = main([
+        "serve", "--artifact", str(workdir / "artifact.rpa"), "--feedback-log", str(log_path),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(log_path) in err
 
 
 def test_derived_targets_close_to_synth_truth(workdir):

@@ -25,6 +25,7 @@ def test_heads_share_one_test_split(trained):
     assert ids["RAMCOUNT"]
     for t in TARGET_NAMES:
         assert ids[t] == ids["RAMCOUNT"], t
+        assert details[t].test is details["RAMCOUNT"].test, t
 
 
 def test_heads_share_one_encoder(trained):
