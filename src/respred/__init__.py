@@ -33,7 +33,6 @@ from .ingest import (
 from .metrics import (
     ConfusionMatrix,
     PipelineReport,
-    average_pipeline_accuracy,
     per_class_prf,
     pipeline_metrics,
     pr_auc_micro,

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,6 +72,28 @@ def _aligned_targets(dataset: ingest.Dataset, by_task: dict[str, dict[str, float
     }
 
 
+def _widths(text: str) -> tuple[int, ...]:
+    """--hidden: comma-separated layer widths, each at least 1."""
+    try:
+        widths = tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+    if min(widths) < 1:
+        raise argparse.ArgumentTypeError(f"layer widths must be >= 1, got {text!r}")
+    return widths
+
+
+def _learning_rate(text: str) -> float:
+    """--learning-rate: a finite rate above 0; at 0 the weights would never move."""
+    try:
+        rate = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(rate) and rate > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return rate
+
+
 def _parse_tasks(path: str) -> ingest.Dataset:
     dataset = ingest.parse_task_csv(path)
     _warn_rejected(dataset.report, "task")
@@ -126,8 +149,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         patience=args.patience,
         seed=args.seed,
     )
-    hidden = tuple(int(w) for w in args.hidden.split(","))
-    models, details = pipeline.train_all(dataset, values, cfg, hidden=hidden, split_seed=args.seed)
+    models, details = pipeline.train_all(dataset, values, cfg, hidden=args.hidden, split_seed=args.seed)
 
     for target, d in details.items():
         r = d.report
@@ -279,11 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="task CSV")
     p.add_argument("--targets", required=True, help="targets CSV (from derive or synth)")
     p.add_argument("--out", required=True, help="artifact file to write")
-    p.add_argument("--learning-rate", type=float, default=5e-5)
+    p.add_argument("--learning-rate", type=_learning_rate, default=5e-5)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--max-epochs", type=int, default=200)
     p.add_argument("--patience", type=int, default=4)
-    p.add_argument("--hidden", default="256,128,64")
+    p.add_argument("--hidden", type=_widths, default="256,128,64")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
@@ -334,12 +356,13 @@ def main(argv=None) -> int:
 
     try:
         return args.func(args)
-    except (service.ValidationError, ingest.SchemaError, FileNotFoundError) as exc:
+    except (service.ValidationError, ingest.SchemaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        # an OSError that names a file is about a path the user gave
+        return 2 if isinstance(exc, OSError) and exc.filename is not None else 1
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Feature encoding: embedding indices for categoricals, standardized numerics.
 
 The embedding width for a vocabulary of v tokens is min(32, floor(log2 v) + 1).
-Numeric counts span orders of magnitude, so they default to log1p before
+Numeric counts span orders of magnitude, so they go through log1p before
 z-scoring with moments fitted on the training split only.
 """
 
@@ -99,8 +99,8 @@ def _transform(values: np.ndarray, transform: str, out: Optional[np.ndarray] = N
     raise ValueError(f"unknown numeric transform {transform!r}")
 
 
-def fit_encoder(train: Dataset, numeric_transform: str = "log1p") -> EncoderSpec:
-    """Fit vocabularies and numeric moments on the training split only.
+def fit_encoder(train: Dataset) -> EncoderSpec:
+    """Fit vocabularies and log1p numeric moments on the training split only.
 
     Numeric moments use the sample standard deviation (ddof=1); features
     whose transformed values have zero variance are dropped and recorded.
@@ -116,15 +116,14 @@ def fit_encoder(train: Dataset, numeric_transform: str = "log1p") -> EncoderSpec
     numeric: list[NumericSpec] = []
     dropped: list[str] = []
     for feature in NUMERIC_FEATURES:
-        raw = np.asarray([getattr(r, feature) for r in train.records], dtype=float)
-        values = _transform(raw, numeric_transform)
+        values = np.log1p(np.asarray([getattr(r, feature) for r in train.records], dtype=float))
         std = float(values.std(ddof=1)) if values.size > 1 else 0.0
         if std <= 0.0:
             dropped.append(feature)
             continue
         numeric.append(NumericSpec(
             name=feature,
-            transform=numeric_transform,
+            transform="log1p",
             mean=float(values.mean()),
             stddev=std,
         ))

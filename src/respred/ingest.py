@@ -388,18 +388,11 @@ def group_by_task(jobs: Sequence[JobProfile]) -> dict[str, list[JobProfile]]:
 class SplitSpec:
     """Three-way split configuration: (train, val) carved out of the 85% pool."""
 
-    train_val_fraction: float = 0.85
-    test_fraction: float = 0.15
     seed: int = 0
-    stratify_on: str = "RAMCOUNT"
+    train_val_fraction: ClassVar[float] = 0.85
+    test_fraction: ClassVar[float] = 0.15
+    stratify_on: ClassVar[str] = "RAMCOUNT"
     val_fraction_of_train_val: ClassVar[float] = 0.15
-
-    def __post_init__(self) -> None:
-        for frac in (self.train_val_fraction, self.test_fraction):
-            if not 0.0 < frac < 1.0:
-                raise ValueError("split fractions must lie in (0, 1)")
-        if abs(self.train_val_fraction + self.test_fraction - 1.0) > 1e-9:
-            raise ValueError("train_val_fraction + test_fraction must equal 1")
 
 
 @dataclass

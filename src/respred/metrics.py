@@ -227,10 +227,3 @@ def pipeline_metrics(
         average_pipeline_accuracy=float(np.mean(list(per_model.values()))),
         n_samples=n,
     )
-
-
-def average_pipeline_accuracy(per_model: Sequence[float]) -> float:
-    """Unweighted mean of the individual model accuracies."""
-    if len(per_model) == 0:
-        raise ValueError("need at least one accuracy")
-    return float(np.mean(np.asarray(per_model, dtype=float)))

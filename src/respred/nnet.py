@@ -12,37 +12,35 @@ abort on any non-finite loss.
 Everything is numpy; forward/backward are hand-derived so gradients can be
 checked against central finite differences.
 
-Inference has one arithmetic. ``forward``'s inference and "mc" modes and
-``predict`` fold each hidden layer's batch normalization, an affine map
+Inference has one arithmetic and no dropout. ``forward``'s inference mode
+and ``predict`` fold each hidden layer's batch normalization, an affine map
 under the running statistics, into the dense weights and bias (see _fold),
-so a hidden layer is one matmul, one add and one ReLU; "mc" multiplies each
-ReLU output by its dropout mask. ``forward`` folds on every call, so the
-finite-difference checks, which change params in place between its calls,
-see every change; ``predict`` folds on a model's first call and keeps the
-layers on the TargetModel, so a model's params and running statistics must
-not change in place after its first predict. Every row is computed on its
-own, so a batch of more than INFERENCE_BLOCK_ROWS rows runs as consecutive
-row blocks, each a view of the batch, that share one set of activation
-arrays and write their probabilities into one output array: such a pass
-holds the output and one block's activations, whatever the row count. The
-four heads of one predict call share that set as well. Inference never
-touches the network's workspace, so concurrent predictions on one network
-are safe.
+so a hidden layer is one matmul, one add and one ReLU. ``forward`` folds on
+every call, so the finite-difference checks, which change params in place
+between its calls, see every change; ``predict`` folds on a model's first
+call and keeps the layers on the TargetModel, so a model's params and
+running statistics must not change in place after its first predict. Every
+row is computed on its own, so a batch of more than INFERENCE_BLOCK_ROWS
+rows runs as consecutive row blocks, each a view of the batch, that share
+one set of activation arrays and write their probabilities into one output
+array: such a pass holds the output and one block's activations, whatever
+the row count. The four heads of one predict call share that set as well.
+Inference never touches the network's workspace, so concurrent predictions
+on one network are safe.
 
 ``_forward_cached`` is the unfolded pass: dense layer, batch normalization,
-ReLU and dropout mask, over the whole batch. It backs train mode, whose
-batch statistics need the whole batch, and ``loss_and_grads`` in every
-mode, whose backward loop mirrors it; it is also the reference the folded
-arithmetic is tested against. Train mode allocates no activation-sized
+ReLU and, in train mode, dropout mask, over the whole batch. It backs train
+mode, whose batch statistics need the whole batch, and ``loss_and_grads`` in
+both modes, whose backward loop mirrors it; it is also the reference the
+folded arithmetic is tested against. Train mode allocates no activation-sized
 arrays: each Network keeps a workspace of scratch buffers keyed by (name,
 shape), so the full batches and the last short batch of an epoch each get
 their own set; the dropout masks, activations, gates, input gradients and
 dense weight gradients are written into it with ``out=``, and ``train``
 empties it when it returns. Arrays that train mode hands back (masks,
 gradients, cache) are views of that workspace and hold only until the next
-train-mode call on the same network. The other modes of the unfolded pass
-allocate; the masks an "mc" caller draws with make_dropout_masks live in
-the workspace.
+train-mode call on the same network. The inference mode of the unfolded
+pass allocates.
 
 Train mode leaves the dense bias out: batch normalization subtracts the
 batch mean, which cancels any per-unit bias exactly, so ``z = x @ W`` and the
@@ -66,9 +64,9 @@ from .encode import EncodedBatch, EncoderSpec, encode
 
 BN_EPS = 1e-5
 PROB_FLOOR = 1e-12
-# rows per block of an inference or "mc" forward: the widest activation of a
-# block is 1024 x 256 floats (2 MB), and a block's numpy call overhead stays
-# under 5% of its arithmetic
+# rows per block of an inference forward: the widest activation of a block
+# is 1024 x 256 floats (2 MB), and a block's numpy call overhead stays under
+# 5% of its arithmetic
 INFERENCE_BLOCK_ROWS = 1024
 
 
@@ -223,8 +221,8 @@ def _concat_inputs(net: Network, batch: EncodedBatch, out: Optional[np.ndarray] 
 
 def _check_call(net: Network, n_rows: int, mode: str, dropout_masks: Optional[list[np.ndarray]]) -> None:
     """Refuse an unknown mode, and masks that are not one (rows, width) array per hidden layer."""
-    if mode not in ("train", "inference", "mc"):
-        raise ValueError(f"unknown forward mode {mode!r}: expected 'train', 'inference' or 'mc'")
+    if mode not in ("train", "inference"):
+        raise ValueError(f"unknown forward mode {mode!r}: expected 'train' or 'inference'")
     if dropout_masks is None or mode == "inference":
         return
     if len(dropout_masks) != len(net.hidden):
@@ -245,11 +243,10 @@ def _forward_cached(
     """The unfolded pass: (class probabilities, per-layer cache for loss_and_grads).
 
     It runs the whole batch through dense layer, batch normalization, ReLU
-    and dropout mask, as the gradients need them. Train mode writes its
-    activations into the network's workspace; the other modes allocate.
+    and, in train mode, dropout mask, as the gradients need them. Train mode
+    writes its activations into the network's workspace; inference allocates.
     """
     train = mode == "train"
-    masks = None if mode == "inference" else dropout_masks
     n = batch.row_count
     x = _concat_inputs(net, batch, out=net.buffer("x0", (n, net.input_width)) if train else None)
     layers = []
@@ -274,8 +271,8 @@ def _forward_cached(
         out += beta
         # ReLU then dropout is one multiplication by the gate, also d(out)/d(a)
         gate = np.greater(out, 0.0, out=net.buffer(f"gate{i}", shape) if train else None)
-        if masks is not None:
-            gate = np.multiply(gate, masks[i], out=gate if train else None)
+        if train and dropout_masks is not None:
+            gate *= dropout_masks[i]
         out *= gate
         layers.append({"x_in": x, "xhat": xhat, "gate": gate, "mu": mu, "var": var, "inv_std": inv_std})
         x = out
@@ -304,25 +301,24 @@ def forward(
 ) -> np.ndarray:
     """Class-probability matrix (rows sum to 1); binary nets emit [1-p, p].
 
-    "inference" normalizes with the running statistics and ignores dropout
-    masks. "train" normalizes with batch statistics into the network's
-    workspace. "mc" is inference with dropout (Monte-Carlo dropout). Train
-    and "mc" apply the given masks (from make_dropout_masks) and drop nothing
-    without them; masks that are not one (rows, width) array per hidden
-    layer are a ValueError, as is any other mode.
+    "inference" normalizes with the running statistics and drops nothing; it
+    ignores dropout masks. "train" normalizes with batch statistics into the
+    network's workspace and applies the given masks (from
+    make_dropout_masks), dropping nothing without them; masks that are not
+    one (rows, width) array per hidden layer are a ValueError, as is any
+    other mode.
 
-    Inference and "mc" run the arithmetic that ``predict`` serves: the
-    network is folded on every call (see _fold), so a change to its params
-    shows in the next call, and the batch runs through the folded layers in
-    blocks of INFERENCE_BLOCK_ROWS rows (each mask sliced alike). Their peak
-    memory does not grow with the row count beyond the (rows, classes)
-    result. Train mode runs the whole batch, whose statistics it needs,
-    through the unfolded pass.
+    Inference runs the arithmetic that ``predict`` serves: the network is
+    folded on every call (see _fold), so a change to its params shows in the
+    next call, and the batch runs through the folded layers in blocks of
+    INFERENCE_BLOCK_ROWS rows. Its peak memory does not grow with the row
+    count beyond the (rows, classes) result. Train mode runs the whole
+    batch, whose statistics it needs, through the unfolded pass.
     """
     _check_call(net, batch.row_count, mode, dropout_masks)
     if mode == "train":
         return _forward_cached(net, batch, mode, dropout_masks)[0]
-    return _in_blocks(net, _fold(net), batch, {}, dropout_masks if mode == "mc" else None)
+    return _in_blocks(net, _fold(net), batch, {})
 
 
 def _in_blocks(
@@ -330,9 +326,8 @@ def _in_blocks(
     layers: tuple[tuple[np.ndarray, np.ndarray], ...],
     batch: EncodedBatch,
     scratch: dict,
-    masks: Optional[list[np.ndarray]] = None,
 ) -> np.ndarray:
-    """Class probabilities of a batch through the folded layers, each ReLU output times its mask.
+    """Class probabilities of a batch through the folded layers.
 
     A batch of at most INFERENCE_BLOCK_ROWS rows is one block; a larger one
     runs as consecutive blocks of that many rows, each a view of the batch,
@@ -342,7 +337,7 @@ def _in_blocks(
     """
     n = batch.row_count
     if n <= INFERENCE_BLOCK_ROWS:
-        return _folded_probs(net, layers, batch, scratch, masks)
+        return _folded_probs(net, layers, batch, scratch)
     probs = np.empty((n, net.n_classes))
     for start in range(0, n, INFERENCE_BLOCK_ROWS):
         rows = slice(start, start + INFERENCE_BLOCK_ROWS)
@@ -350,8 +345,7 @@ def _in_blocks(
         if n_block < INFERENCE_BLOCK_ROWS:
             # the short last block writes into the leading rows of the full blocks' arrays
             scratch = {(name, (n_block, *shape[1:])): buf[:n_block] for (name, shape), buf in scratch.items()}
-        block_masks = None if masks is None else [m[rows] for m in masks]
-        probs[rows] = _folded_probs(net, layers, batch.take(rows), scratch, block_masks)
+        probs[rows] = _folded_probs(net, layers, batch.take(rows), scratch)
     return probs
 
 
@@ -721,9 +715,8 @@ def _folded_probs(
     layers: tuple[tuple[np.ndarray, np.ndarray], ...],
     batch: EncodedBatch,
     scratch: dict,
-    masks: Optional[list[np.ndarray]],
 ) -> np.ndarray:
-    """Class probabilities of one block through the folded layers, each ReLU output times its mask."""
+    """Class probabilities of one block through the folded layers."""
     n = batch.row_count
     x = _concat_inputs(net, batch, out=_buffer(scratch, "x0", (n, net.input_width)))
     *hidden, (W_out, b_out) = layers
@@ -731,8 +724,6 @@ def _folded_probs(
         x = np.matmul(x, W, out=_buffer(scratch, f"out{i}", (n, W.shape[1])))
         x += b
         np.maximum(x, 0.0, out=x)
-        if masks is not None:
-            x *= masks[i]
     return _probabilities(x @ W_out + b_out, net.binary)
 
 

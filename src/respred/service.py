@@ -115,7 +115,6 @@ class ModelArtifact:
     models: dict[str, TargetModel]
     created_at: str
     config_fingerprint: str
-    version: int = FORMAT_VERSION
     sha256: Optional[str] = None     # of the file's bytes, once saved or loaded
 
 
@@ -226,7 +225,6 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         models=models,
         created_at=created_at,
         config_fingerprint=fingerprint,
-        version=version,
         sha256=hashlib.sha256(raw).hexdigest(),
     )
 

@@ -226,8 +226,8 @@ class SimConfig:
     that tail around 0.6%.
     """
 
-    scout_wait_sigma: float = 2.25
-    scout_wait_mean_hours: float = 7.0
+    scout_wait_sigma: ClassVar[float] = 2.25
+    scout_wait_mean_hours: ClassVar[float] = 7.0
     ml_latency: float = 0.5            # seconds per decision
     fail_fraction: ClassVar[float] = 0.5         # fraction of exec time lost to a RAM failure
     jobs_per_task_mu: ClassVar[float] = math.log(12.0)

@@ -136,6 +136,49 @@ def test_train_refuses_a_config_that_cannot_train(workdir, tmp_path, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--hidden", "0"),
+    ("--hidden", "abc"),
+    ("--hidden", "64,"),
+    ("--learning-rate", "nan"),
+    ("--learning-rate", "0"),
+])
+def test_train_refuses_a_bad_flag_before_reading_any_csv(tmp_path, capsys, flag, value):
+    # the CSVs do not exist: reading them would be a returned 2, not the parser's exit
+    with pytest.raises(SystemExit) as err:
+        main(["train", "--data", str(tmp_path / "absent.csv"), "--targets", str(tmp_path / "absent.csv"),
+              "--out", str(tmp_path / "artifact.rpa"), flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--data"),
+    ("derive", "--jobs"),
+    ("derive", "--out"),
+    ("serve", "--feedback-log"),
+])
+def test_a_directory_given_for_a_file_exits_2_in_one_line(workdir, tmp_path, capsys, monkeypatch, command, flag):
+    from respred import service
+
+    def serve_forever(svc, bind):
+        raise AssertionError("served with a feedback log that is a directory")
+
+    monkeypatch.setattr(service, "serve_forever", serve_forever)
+    args = {
+        "train": {"--data": str(workdir / "tasks.csv"), "--targets": str(workdir / "targets.csv"),
+                  "--out": str(tmp_path / "artifact.rpa"), "--max-epochs": "1", "--hidden": "4,3,2"},
+        "derive": {"--jobs": str(workdir / "jobs.csv"), "--out": str(tmp_path / "derived.csv")},
+        "serve": {"--artifact": str(workdir / "artifact.rpa"), "--feedback-log": str(tmp_path / "fb.jsonl")},
+    }[command]
+    args[flag] = str(tmp_path)
+    code = main([command, *(item for pair in args.items() for item in pair)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(tmp_path) in err
+
+
 def test_evaluate_writes_reports(workdir, capsys):
     report_path = workdir / "report.json"
     curves = workdir / "curves"

@@ -57,11 +57,13 @@ def test_embed_dim_cap_onset():
 
 
 def test_fit_encoder_moments_sample_stddev():
-    rows = [{"nevents": 1}, {"nevents": 2}, {"nevents": 3}]
-    spec = fit_encoder(dataset_from(rows), numeric_transform="identity")
+    # log1p maps 0, 3 and 15 to 0, log 4 and 2 log 4
+    rows = [{"nevents": 0}, {"nevents": 3}, {"nevents": 15}]
+    spec = fit_encoder(dataset_from(rows))
     nev = next(n for n in spec.numeric if n.name == "n_events")
-    assert nev.mean == pytest.approx(2.0)
-    assert nev.stddev == pytest.approx(1.0)
+    assert nev.transform == "log1p"
+    assert nev.mean == pytest.approx(math.log(4))
+    assert nev.stddev == pytest.approx(math.log(4))     # ddof=1; ddof=0 would give log 4 * sqrt(2/3)
 
 
 def test_fit_encoder_drops_constant_columns():
@@ -113,10 +115,10 @@ def test_vocabulary_fit_on_training_rows_only():
 
 
 def test_encode_mean_value_standardizes_to_zero():
-    rows = [{"nevents": 1}, {"nevents": 2}, {"nevents": 3}]
+    rows = [{"nevents": 0}, {"nevents": 3}, {"nevents": 15}]
     train = dataset_from(rows)
-    spec = fit_encoder(train, numeric_transform="identity")
-    batch = encode(records_from([{"nevents": 2}]), spec)
+    spec = fit_encoder(train)
+    batch = encode(records_from([{"nevents": 3}]), spec)
     col = [n.name for n in spec.numeric].index("n_events")
     assert batch.numeric_matrix[0, col] == pytest.approx(0.0, abs=1e-12)
 

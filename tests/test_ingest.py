@@ -528,8 +528,3 @@ def test_split_empty_rejected():
     ds = Dataset(records=[])
     with pytest.raises(ValueError):
         stratified_split(ds, SplitSpec())
-
-
-def test_split_fractions_validated():
-    with pytest.raises(ValueError):
-        SplitSpec(train_val_fraction=0.8, test_fraction=0.15)

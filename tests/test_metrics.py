@@ -5,7 +5,6 @@ import pytest
 
 from respred.metrics import (
     ConfusionMatrix,
-    average_pipeline_accuracy,
     per_class_prf,
     pipeline_metrics,
     pr_auc_micro,
@@ -319,7 +318,3 @@ def test_pipeline_length_mismatch_rejected():
     preds = {t: np.zeros(4, dtype=int) for t in TARGETS}
     with pytest.raises(ValueError):
         pipeline_metrics(preds, trues)
-
-
-def test_average_pipeline_accuracy_helper():
-    assert average_pipeline_accuracy([0.805, 0.858, 0.939, 0.839]) == pytest.approx(0.86025)

@@ -2,8 +2,7 @@
 
 The gradient check perturbs every parameter element and compares central
 finite differences against backprop in train mode (fixed dropout masks,
-batch statistics), inference mode (running statistics) and "mc" mode
-(running statistics, fixed dropout masks).
+batch statistics) and inference mode (running statistics).
 """
 
 import math
@@ -193,7 +192,7 @@ def fd_gradient(net, batch, cfg, weights, mode, masks, name, h=1e-5):
     return grad
 
 
-@pytest.mark.parametrize("mode", ["train", "inference", "mc"])
+@pytest.mark.parametrize("mode", ["train", "inference"])
 @pytest.mark.parametrize("n_classes", [3, 2])
 def test_gradients_match_finite_differences(mode, n_classes):
     rng = np.random.default_rng(42)
@@ -203,12 +202,12 @@ def test_gradients_match_finite_differences(mode, n_classes):
     weights = class_weight_vector(batch.labels, n_classes)
     masks = (
         make_dropout_masks(net, batch.row_count, cfg.dropout_rates, np.random.default_rng(9))
-        if mode != "inference" else None
+        if mode == "train" else None
     )
-    if mode != "train":
-        # running statistics off their initial 0 and 1: there, a row whose whole
-        # input is dropped meets the ReLU at exactly 0, where the loss has no
-        # derivative for the finite differences to check
+    if mode == "inference":
+        # running statistics off their initial 0 and 1: there, a row whose
+        # ReLUs in one layer are all off meets the next ReLU at exactly 0,
+        # where the loss has no derivative for the finite differences to check
         stats_rng = np.random.default_rng(11)
         for i, width in enumerate(net.hidden):
             net.running[f"dense{i}:mean"] = stats_rng.normal(0.0, 0.5, width)
@@ -271,13 +270,15 @@ def test_unknown_mode_is_refused():
     rng = np.random.default_rng(46)
     net = tiny_net()
     batch = tiny_batch(rng)
-    with pytest.raises(ValueError, match="trian"):
-        forward(net, batch, mode="trian")
-    with pytest.raises(ValueError, match="trian"):
-        loss_and_grads(net, batch, TrainConfig(), np.ones(3), mode="trian")
+    # "mc" (Monte-Carlo dropout at inference) is not a mode: inference drops nothing
+    for mode in ("trian", "mc"):
+        with pytest.raises(ValueError, match=f"mode '{mode}'"):
+            forward(net, batch, mode=mode)
+        with pytest.raises(ValueError, match=f"mode '{mode}'"):
+            loss_and_grads(net, batch, TrainConfig(), np.ones(3), mode=mode)
 
 
-@pytest.mark.parametrize("mode", ["mc", "train"])
+@pytest.mark.parametrize("mode", ["train"])
 def test_misshapen_dropout_masks_are_refused(mode):
     rng = np.random.default_rng(48)
     net = tiny_net()
@@ -294,9 +295,8 @@ def test_misshapen_dropout_masks_are_refused(mode):
             forward(net, batch, mode=mode, dropout_masks=masks)
         with pytest.raises(ValueError, match=message):
             loss_and_grads(net, batch, cfg, np.ones(3), mode=mode, dropout_masks=masks)
-        if mode == "train":
-            with pytest.raises(ValueError, match=message):
-                train_step(net, batch, cfg, AdamState(), np.ones(3), masks)
+        with pytest.raises(ValueError, match=message):
+            train_step(net, batch, cfg, AdamState(), np.ones(3), masks)
 
 
 # --- blocked inference
@@ -310,14 +310,12 @@ def test_blocked_forward_equals_one_pass(monkeypatch, n_rows, n_classes):
         net.running[f"dense{i}:mean"] = rng.standard_normal(net.hidden[i])
         net.running[f"dense{i}:var"] = rng.uniform(0.5, 2.0, net.hidden[i])
     batch = tiny_batch(rng, n_rows=n_rows, n_classes=n_classes)
-    masks = make_dropout_masks(net, n_rows, (0.4, 0.3, 0.3), rng)
     monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 4)
-    for mode, mode_masks in (("inference", None), ("mc", masks)):
-        whole, _ = _forward_cached(net, batch, mode, mode_masks)
-        blocked = forward(net, batch, mode=mode, dropout_masks=mode_masks)
-        assert blocked.shape == whole.shape == (n_rows, n_classes)
-        assert np.abs(blocked - whole).max(initial=0.0) <= 1e-12
-        assert np.array_equal(blocked.argmax(axis=1), whole.argmax(axis=1))
+    whole, _ = _forward_cached(net, batch, "inference", None)
+    blocked = forward(net, batch)
+    assert blocked.shape == whole.shape == (n_rows, n_classes)
+    assert np.abs(blocked - whole).max(initial=0.0) <= 1e-12
+    assert np.array_equal(blocked.argmax(axis=1), whole.argmax(axis=1))
 
 
 def test_train_forward_is_never_blocked(monkeypatch):
@@ -610,7 +608,7 @@ def test_empty_training_data_rejected():
         train(net, empty, val_b, TrainConfig())
 
 
-# --- dropout expectation
+# --- dropout masks
 
 def test_dropout_masks_are_unbiased():
     # inverted scaling: E[mask] = 1, so dropped activations need no rescale
@@ -623,31 +621,6 @@ def test_dropout_masks_are_unbiased():
             acc += mask[0]
     for acc in sums:
         assert np.abs(acc / draws - 1.0).max() < 0.05
-
-
-def test_dropout_expectation_matches_inference_output():
-    # averaged over many masks, the dropout forward reproduces the
-    # no-dropout output; checked with frozen normalization statistics and
-    # the ReLU held in its linear region, where the identity is exact up to
-    # the softmax curvature
-    rng = np.random.default_rng(16)
-    n = 64
-    batch = tiny_batch(rng, n_rows=n)
-    net = Network(tiny_encoder(), n_classes=3, hidden=(32, 16, 8), seed=5)
-    for i in range(3):
-        net.params[f"dense{i}:beta"][:] = 3.0
-        net.params[f"dense{i}:gamma"][:] = 0.5
-    net.params["out:W"] *= 0.05
-
-    reference = forward(net, batch, mode="inference")
-    mask_rng = np.random.default_rng(99)
-    total = np.zeros_like(reference)
-    n_draws = 10_000
-    for _ in range(n_draws):
-        masks = make_dropout_masks(net, n, (0.4, 0.3, 0.3), mask_rng)
-        total += forward(net, batch, mode="mc", dropout_masks=masks)
-    averaged = total / n_draws
-    assert np.abs(averaged - reference).max() < 0.02
 
 
 # --- prediction

@@ -48,7 +48,7 @@ def models():
     synth = generate(GeneratorSpec(seed=21, n_tasks=400))
     bins = fit_all_bins(synth.targets)
     labeled = label_dataset(synth.dataset, synth.targets, bins)
-    split = stratified_split(labeled, SplitSpec(seed=1, stratify_on="RAMCOUNT"))
+    split = stratified_split(labeled, SplitSpec(seed=1))
     encoder = fit_encoder(split.train)
     return {
         t: TargetModel(

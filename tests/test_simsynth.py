@@ -147,10 +147,11 @@ def test_ml_mode_perfect_predictor_zero_latency():
     assert np.allclose(report.turnaround_hours, expected)
 
 
-def test_scout_mode_fixed_wait_delta():
+def test_scout_mode_fixed_wait_delta(monkeypatch):
     inputs, _ = small_inputs()
-    # degenerate wait distribution: sigma 0 pins every wait at the mean
-    cfg = SimConfig(seed=2, scout_wait_sigma=0.0, scout_wait_mean_hours=7.0, ml_latency=0.5)
+    # degenerate wait distribution: sigma 0 pins every wait at the 7-hour mean
+    monkeypatch.setattr(SimConfig, "scout_wait_sigma", 0.0)
+    cfg = SimConfig(seed=2, ml_latency=0.5)
     override = list(inputs.true_classes)
     scout = simulate(inputs, "scout", cfg, allocation_override=override)
     ml = simulate(inputs, "ml", cfg, allocation_override=override)
