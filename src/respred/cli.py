@@ -1,14 +1,18 @@
 """Command-line entry point: synth, derive, train, evaluate, predict, simulate, serve.
 
 Exit codes: 0 success, 2 flag/input validation error, 1 runtime failure.
+``train``'s model flags and every command's output file paths are checked
+before any input is read.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -94,6 +98,27 @@ def _learning_rate(text: str) -> float:
     return rate
 
 
+def _positive_int(text: str) -> int:
+    """--batch-size, --max-epochs, --patience: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def _check_output(path: str | None) -> None:
+    """Refuse an output file that could not be written, before any work: a directory, or a path in none."""
+    if path is None:
+        return
+    if Path(path).is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _parse_tasks(path: str) -> ingest.Dataset:
     dataset = ingest.parse_task_csv(path)
     _warn_rejected(dataset.report, "task")
@@ -127,6 +152,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_derive(args: argparse.Namespace) -> int:
+    _check_output(args.out)
     jobs = _parse_jobs(args.jobs)
     cfg = ResourceConfig(margin=args.margin, min_ram_count=args.min_ram)
     by_task = ingest.group_by_task(jobs)
@@ -140,6 +166,7 @@ def cmd_derive(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    _check_output(args.out)
     dataset = _parse_tasks(args.data)
     values = _aligned_targets(dataset, _read_targets_csv(Path(args.targets)))
     cfg = TrainConfig(
@@ -166,6 +193,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_output(args.report_out)
     artifact = service.load_artifact(args.artifact)
     bins = {t: artifact.models[t].bins for t in TARGET_NAMES}
     labeled, _ = _load_labeled(args.data, args.targets, bins)
@@ -189,6 +217,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _check_output(args.out)
     artifact = service.load_artifact(args.artifact)
     if args.features:
         try:
@@ -224,6 +253,7 @@ def _broker_inputs(args: argparse.Namespace, artifact) -> simsynth.BrokerInputs:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    _check_output(args.report_out)
     artifact = service.load_artifact(_artifact_path(args.model_dir))
     inputs = _broker_inputs(args, artifact)
     cfg = simsynth.SimConfig(seed=args.seed, ml_latency=args.ml_latency)
@@ -302,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="targets CSV (from derive or synth)")
     p.add_argument("--out", required=True, help="artifact file to write")
     p.add_argument("--learning-rate", type=_learning_rate, default=5e-5)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--max-epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=4)
+    p.add_argument("--batch-size", type=_positive_int, default=256)
+    p.add_argument("--max-epochs", type=_positive_int, default=200)
+    p.add_argument("--patience", type=_positive_int, default=4)
     p.add_argument("--hidden", type=_widths, default="256,128,64")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)

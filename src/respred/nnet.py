@@ -12,6 +12,13 @@ abort on any non-finite loss.
 Everything is numpy; forward/backward are hand-derived so gradients can be
 checked against central finite differences.
 
+Train mode computes in the params' dtype (``Network.dtype``): its workspace,
+dropout draws, class weights and Adam state take it, so a network whose
+params and running statistics are float32 trains in float32 with no upcast
+in a step. Inference always computes in float64: _fold widens the params
+first, so a float32 network infers exactly what it serves once widened.
+``pipeline`` trains its heads that way; a Network is built in float64.
+
 Inference has one arithmetic and no dropout. ``forward``'s inference mode
 and ``predict`` fold each hidden layer's batch normalization, an affine map
 under the running statistics, into the dense weights and bias (see _fold),
@@ -153,6 +160,11 @@ class Network:
     def binary(self) -> bool:
         return self.n_classes == 2
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The params' float type, which train mode computes in."""
+        return self.params["out:W"].dtype
+
     def weight_names(self) -> list[str]:
         """Parameters subject to L2: dense and embedding weight matrices."""
         return [k for k in self.params if k.endswith(":W") or k.startswith("emb:")]
@@ -169,16 +181,16 @@ class Network:
             self.running[k] = state[f"running/{k}"].copy()
 
     def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The workspace array for (name, shape); its contents are left over from the last use."""
-        return _buffer(self.workspace, name, shape)
+        """The workspace array for (name, shape) in the params' dtype; its contents are left over."""
+        return _buffer(self.workspace, name, shape, self.dtype)
 
 
-def _buffer(store: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """The array for (name, shape) in store, made on first use; its contents are left over."""
     key = (name, shape)
     buf = store.get(key)
     if buf is None:
-        buf = store[key] = np.empty(shape)
+        buf = store[key] = np.empty(shape, dtype)
     return buf
 
 
@@ -190,7 +202,8 @@ def make_dropout_masks(
     One uniform draw covers every layer. The masks are views into the
     network's workspace, overwritten by its next draw for the same row count.
     """
-    draws = rng.random(out=net.buffer("masks", (n_rows, sum(net.hidden))))
+    draws = net.buffer("masks", (n_rows, sum(net.hidden)))
+    rng.random(out=draws, dtype=draws.dtype)
     masks = []
     start = 0
     for width, rate in zip(net.hidden, rates):
@@ -423,14 +436,14 @@ def loss_and_grads(
     total = loss(probs, labels, weights, net, cfg)
 
     n = batch.row_count
-    w = np.asarray(weights, dtype=float)[labels]
+    w = np.asarray(weights, dtype=net.dtype)[labels]
     w_sum = w.sum()
     grads: dict[str, np.ndarray] = {}
 
     # output layer: d(data)/d(logits)
     if net.binary:
         p = probs[:, 1]
-        dlogits = ((p - labels) * (w / w_sum))[:, None]
+        dlogits = ((p - labels.astype(p.dtype)) * (w / w_sum))[:, None]
     else:
         onehot = np.zeros_like(probs)
         onehot[np.arange(n), labels] = 1.0
@@ -452,7 +465,7 @@ def loss_and_grads(
         dx *= layer["gate"]
         if train:
             dz, dgamma, dbeta = _bn_backward(dx, layer["xhat"], gamma, layer["inv_std"])
-            db = np.zeros(hidden[i])        # the bias is not in the train-mode forward
+            db = np.zeros(hidden[i], net.dtype)     # the bias is not in the train-mode forward
         else:
             # running statistics are constants, so the normalization is affine
             dgamma = (dx * layer["xhat"]).sum(axis=0)
@@ -505,7 +518,7 @@ def adam_update(
             state.m[name] = np.zeros_like(g)
             state.v[name] = np.zeros_like(g)
         if state.scratch.size < g.size:
-            state.scratch = np.empty(g.size)
+            state.scratch = np.empty(g.size, g.dtype)
         m, v, s = state.m[name], state.v[name], state.scratch[:g.size].reshape(g.shape)
         m *= b1
         m += np.multiply(g, 1 - b1, out=s)
@@ -694,19 +707,23 @@ class TargetModel:
 
 
 def _fold(net: Network) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The network's inference layers as (W, b) pairs, batch norm folded in.
+    """The network's inference layers as float64 (W, b) pairs, batch norm folded in.
 
     Inference normalizes ``x @ W + b`` with the running statistics, so with
     ``s = gamma / sqrt(var + eps)`` a hidden layer is
     ``relu(x @ (W * s) + ((b - mean) * s + beta))``: one matmul, one add and
-    one ReLU. The output layer follows as it is.
+    one ReLU. The output layer follows as it is. A float32 network is
+    widened first, so it folds to exactly the layers it serves once
+    ``pipeline`` widens its params.
     """
+    params = {k: v.astype(np.float64, copy=False) for k, v in net.params.items() if not k.startswith("emb:")}
+    running = {k: v.astype(np.float64, copy=False) for k, v in net.running.items()}
     layers = []
     for i in range(len(net.hidden)):
-        W, b, gamma, beta = (net.params[f"dense{i}:{k}"] for k in ("W", "b", "gamma", "beta"))
-        s = gamma / np.sqrt(net.running[f"dense{i}:var"] + BN_EPS)
-        layers.append((W * s, (b - net.running[f"dense{i}:mean"]) * s + beta))
-    layers.append((net.params["out:W"].copy(), net.params["out:b"].copy()))
+        W, b, gamma, beta = (params[f"dense{i}:{k}"] for k in ("W", "b", "gamma", "beta"))
+        s = gamma / np.sqrt(running[f"dense{i}:var"] + BN_EPS)
+        layers.append((W * s, (b - running[f"dense{i}:mean"]) * s + beta))
+    layers.append((params["out:W"].copy(), params["out:b"].copy()))
     return tuple(layers)
 
 

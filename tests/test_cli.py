@@ -120,28 +120,18 @@ def test_train_task_without_a_target_row_exits_2(workdir, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: 1 task(s) lack target rows, first: {task_id}\n"
 
 
-@pytest.mark.parametrize("flag, value, field", [
-    ("--batch-size", "-5", "batch_size"),
-    ("--batch-size", "0", "batch_size"),
-    ("--max-epochs", "0", "max_epochs"),
-])
-def test_train_refuses_a_config_that_cannot_train(workdir, tmp_path, capsys, flag, value, field):
-    out = tmp_path / "artifact.rpa"
-    code = main([
-        "train", "--data", str(workdir / "tasks.csv"), "--targets", str(workdir / "targets.csv"),
-        "--out", str(out), "--hidden", "4,3,2", flag, value,
-    ])
-    assert code == 1
-    assert field in capsys.readouterr().err
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("flag, value", [
     ("--hidden", "0"),
     ("--hidden", "abc"),
     ("--hidden", "64,"),
     ("--learning-rate", "nan"),
     ("--learning-rate", "0"),
+    ("--batch-size", "-5"),
+    ("--batch-size", "0"),
+    ("--batch-size", "abc"),
+    ("--max-epochs", "0"),
+    ("--patience", "-1"),
+    ("--patience", "0"),
 ])
 def test_train_refuses_a_bad_flag_before_reading_any_csv(tmp_path, capsys, flag, value):
     # the CSVs do not exist: reading them would be a returned 2, not the parser's exit
@@ -152,10 +142,30 @@ def test_train_refuses_a_bad_flag_before_reading_any_csv(tmp_path, capsys, flag,
     assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
 
 
+def command_args(workdir, tmp_path, command):
+    """Flags that run command on the module's files, writing into tmp_path."""
+    return {
+        "train": {"--data": str(workdir / "tasks.csv"), "--targets": str(workdir / "targets.csv"),
+                  "--out": str(tmp_path / "artifact.rpa"), "--max-epochs": "1", "--hidden": "4,3,2"},
+        "derive": {"--jobs": str(workdir / "jobs.csv"), "--out": str(tmp_path / "derived.csv")},
+        "evaluate": {"--artifact": str(workdir / "artifact.rpa"), "--data": str(workdir / "tasks.csv"),
+                     "--targets": str(workdir / "targets.csv"), "--report-out": str(tmp_path / "report.json")},
+        "predict": {"--artifact": str(workdir / "artifact.rpa"), "--data": str(workdir / "tasks.csv"),
+                    "--out": str(tmp_path / "predictions.csv")},
+        "simulate": {"--mode": "ml", "--tasks": str(workdir / "tasks.csv"), "--targets": str(workdir / "targets.csv"),
+                     "--model-dir": str(workdir / "artifact.rpa"), "--report-out": str(tmp_path / "sim.json")},
+        "serve": {"--artifact": str(workdir / "artifact.rpa"), "--feedback-log": str(tmp_path / "fb.jsonl")},
+    }[command]
+
+
 @pytest.mark.parametrize("command, flag", [
     ("train", "--data"),
+    ("train", "--out"),
     ("derive", "--jobs"),
     ("derive", "--out"),
+    ("evaluate", "--report-out"),
+    ("predict", "--out"),
+    ("simulate", "--report-out"),
     ("serve", "--feedback-log"),
 ])
 def test_a_directory_given_for_a_file_exits_2_in_one_line(workdir, tmp_path, capsys, monkeypatch, command, flag):
@@ -165,18 +175,40 @@ def test_a_directory_given_for_a_file_exits_2_in_one_line(workdir, tmp_path, cap
         raise AssertionError("served with a feedback log that is a directory")
 
     monkeypatch.setattr(service, "serve_forever", serve_forever)
-    args = {
-        "train": {"--data": str(workdir / "tasks.csv"), "--targets": str(workdir / "targets.csv"),
-                  "--out": str(tmp_path / "artifact.rpa"), "--max-epochs": "1", "--hidden": "4,3,2"},
-        "derive": {"--jobs": str(workdir / "jobs.csv"), "--out": str(tmp_path / "derived.csv")},
-        "serve": {"--artifact": str(workdir / "artifact.rpa"), "--feedback-log": str(tmp_path / "fb.jsonl")},
-    }[command]
+    args = command_args(workdir, tmp_path, command)
     args[flag] = str(tmp_path)
     code = main([command, *(item for pair in args.items() for item in pair)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert str(tmp_path) in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--out"),
+    ("derive", "--out"),
+    ("evaluate", "--report-out"),
+    ("predict", "--out"),
+    ("simulate", "--report-out"),
+])
+@pytest.mark.parametrize("where", ["missing directory", "directory"])
+def test_an_unwritable_output_path_exits_2_before_any_work(workdir, tmp_path, capsys, monkeypatch,
+                                                           command, flag, where):
+    from respred import ingest, pipeline, service
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output path was checked")
+
+    for module, name in ((pipeline, "train_all"), (ingest, "parse_task_csv"), (ingest, "parse_job_csv"),
+                         (service, "load_artifact")):
+        monkeypatch.setattr(module, name, work)
+    args = command_args(workdir, tmp_path, command)
+    args[flag] = str(tmp_path / "absent" / "out.file") if where == "missing directory" else str(tmp_path)
+    code = main([command, *(item for pair in args.items() for item in pair)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert args[flag] in err
 
 
 def test_evaluate_writes_reports(workdir, capsys):

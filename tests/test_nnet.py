@@ -390,6 +390,51 @@ def test_steps_of_two_sizes_give_fresh_net_gradients():
             assert np.array_equal(got[k], want[k]), k
 
 
+@pytest.mark.parametrize("n_classes", [3, 2])
+def test_a_float32_network_trains_in_float32(n_classes):
+    # a float64 array anywhere in a step would upcast every array computed from it
+    rng = np.random.default_rng(49)
+    net = tiny_net(n_classes=n_classes, seed=5)
+    for state in (net.params, net.running):
+        for k, v in state.items():
+            state[k] = v.astype(np.float32)
+    batch = tiny_batch(rng, n_rows=16, n_classes=n_classes)
+    batch.numeric_matrix = batch.numeric_matrix.astype(np.float32)
+    cfg = TrainConfig()
+    weights = class_weight_vector(batch.labels, n_classes)
+    masks = make_dropout_masks(net, batch.row_count, cfg.dropout_rates, rng)
+    _, grads, _ = loss_and_grads(net, batch, cfg, weights, dropout_masks=masks)
+    arrays = {f"grad {k}": g for k, g in grads.items()}
+    adam = AdamState()
+    train_step(net, batch, cfg, adam, weights, masks)
+    arrays.update({f"param {k}": v for k, v in net.params.items()})
+    arrays.update({f"running {k}": v for k, v in net.running.items()})
+    arrays.update({f"adam m {k}": v for k, v in adam.m.items()})
+    arrays.update({f"adam v {k}": v for k, v in adam.v.items()})
+    arrays.update({f"workspace {k}": v for k, v in net.workspace.items()})
+    arrays["adam scratch"] = adam.scratch
+    assert {k: a.dtype for k, a in arrays.items()} == {k: np.dtype(np.float32) for k in arrays}
+    assert net.dtype == np.float32
+
+
+@pytest.mark.parametrize("n_classes", [3, 2])
+def test_a_float32_network_infers_what_it_serves_widened(n_classes):
+    # training selects its best epoch by this forward, and serves the widened network
+    rng = np.random.default_rng(50)
+    narrow = tiny_net(n_classes=n_classes, seed=6)
+    for state in (narrow.params, narrow.running):
+        for k, v in state.items():
+            state[k] = (v + rng.uniform(0.1, 0.5, v.shape)).astype(np.float32)
+    wide = tiny_net(n_classes=n_classes, seed=6)
+    for state, source in ((wide.params, narrow.params), (wide.running, narrow.running)):
+        for k, v in source.items():
+            state[k] = v.astype(np.float64)
+    batch = tiny_batch(rng, n_rows=32, n_classes=n_classes)
+    probs = forward(narrow, batch)
+    assert probs.dtype == np.float64
+    assert np.array_equal(probs, forward(wide, batch))
+
+
 # --- adam
 
 def test_adam_single_step_hand_computed():

@@ -4,6 +4,7 @@ import os
 import pickle
 import re
 import signal
+import sys
 import threading
 from dataclasses import replace
 
@@ -81,6 +82,16 @@ def test_an_exception_that_does_not_unpickle_becomes_a_runtime_error(synth):
     with pytest.raises(RuntimeError, match="training worker for RAMCOUNT failed") as raised:
         train_all(synth.dataset, synth.targets, TrainConfig(max_epochs=2), hidden=hidden)
     assert "CellError: non-numeric value 'x' in column hidden" in str(raised.value)
+    assert_no_child_left()
+
+
+def test_a_warning_that_is_an_error_here_is_one_in_the_workers(synth, monkeypatch):
+    # at this rate the training arithmetic overflows within two epochs
+    cfg = TrainConfig(max_epochs=2, learning_rate=1e6)
+    monkeypatch.setattr(sys, "warnoptions", [*sys.warnoptions, "error::RuntimeWarning"])
+    with pytest.raises(RuntimeWarning, match="encountered") as raised:
+        train_all(synth.dataset, synth.targets, cfg, hidden=HIDDEN)
+    assert isinstance(raised.value.__cause__, RuntimeError)
     assert_no_child_left()
 
 
