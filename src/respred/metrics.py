@@ -5,9 +5,10 @@ areas come from one threshold sweep: a single descending sort and the
 cumulative true/false positive counts at the end of each tie group. ROC
 area is the trapezoid under the ROC points, so a tie group is one straight
 segment and ties earn half credit. PR area is the step-wise sum over recall
-increments (no interpolation). Pipeline metrics treat the four heads
-jointly: exact-match accuracy, at-least-k partial accuracy, and the mean of
-per-model accuracies.
+increments (no interpolation). ``micro_curves`` gives both areas and both
+curves from one sweep, as evaluation uses them. Pipeline metrics treat the
+four heads jointly: exact-match accuracy, at-least-k partial accuracy, and
+the mean of per-model accuracies.
 """
 
 from __future__ import annotations
@@ -146,6 +147,23 @@ def _threshold_sweep(probs: np.ndarray, labels: np.ndarray,
     return tp, fp
 
 
+def _roc_area(tp: np.ndarray, fp: np.ndarray) -> float:
+    return float(np.trapezoid(tp, fp) / (tp[-1] * fp[-1]))
+
+
+def _pr_area(tp: np.ndarray, fp: np.ndarray) -> float:
+    return float((np.diff(tp / tp[-1]) * (tp[1:] / (tp[1:] + fp[1:]))).sum())
+
+
+def _roc_points(tp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    return np.column_stack([fp / fp[-1], tp / tp[-1]])
+
+
+def _pr_points(tp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    precision = np.concatenate([[1.0], tp[1:] / (tp[1:] + fp[1:])])
+    return np.column_stack([tp / tp[-1], precision])
+
+
 def roc_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
     """Micro-average ROC AUC: the trapezoid area under the ROC points.
 
@@ -153,27 +171,32 @@ def roc_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
     ties counting one half. The trapezoids are summed in counts, which is
     exact, so the one division is the only rounding.
     """
-    tp, fp = _threshold_sweep(probs, labels, need_negative=True)
-    return float(np.trapezoid(tp, fp) / (tp[-1] * fp[-1]))
+    return _roc_area(*_threshold_sweep(probs, labels, need_negative=True))
 
 
 def pr_auc_micro(probs: np.ndarray, labels: np.ndarray) -> float:
     """Micro-average PR AUC: sum of (R_i - R_{i-1}) * P_i over score thresholds."""
-    tp, fp = _threshold_sweep(probs, labels, need_negative=False)
-    return float((np.diff(tp / tp[-1]) * (tp[1:] / (tp[1:] + fp[1:]))).sum())
+    return _pr_area(*_threshold_sweep(probs, labels, need_negative=False))
 
 
 def roc_curve_points(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(fpr, tpr) points of the micro-average ROC curve, for plotting."""
-    tp, fp = _threshold_sweep(probs, labels, need_negative=True)
-    return np.column_stack([fp / fp[-1], tp / tp[-1]])
+    return _roc_points(*_threshold_sweep(probs, labels, need_negative=True))
 
 
 def pr_curve_points(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """(recall, precision) points of the micro-average PR curve; precision starts at 1."""
-    tp, fp = _threshold_sweep(probs, labels, need_negative=False)
-    precision = np.concatenate([[1.0], tp[1:] / (tp[1:] + fp[1:])])
-    return np.column_stack([tp / tp[-1], precision])
+    return _pr_points(*_threshold_sweep(probs, labels, need_negative=False))
+
+
+def micro_curves(probs: np.ndarray, labels: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """(ROC AUC, PR AUC, ROC points, PR points) from one threshold sweep.
+
+    Each equals what its own function above returns; input without a
+    positive or a negative pair is the ValueError of :func:`roc_auc_micro`.
+    """
+    tp, fp = _threshold_sweep(probs, labels, need_negative=True)
+    return _roc_area(tp, fp), _pr_area(tp, fp), _roc_points(tp, fp), _pr_points(tp, fp)
 
 
 @dataclass

@@ -294,10 +294,31 @@ def _forward_cached(
     return probs, {"layers": layers, "x_last": x}
 
 
+def _largest_finite_exponent(dtype: type) -> np.floating:
+    """The largest x of ``dtype`` whose np.exp is finite."""
+    x = np.log(np.finfo(dtype).max)
+    with np.errstate(over="ignore"):
+        while not np.isfinite(np.exp(x)):
+            x = np.nextafter(x, dtype(-np.inf))
+        while np.isfinite(np.exp(np.nextafter(x, dtype(np.inf)))):
+            x = np.nextafter(x, dtype(np.inf))
+    return x
+
+
+# the sigmoid's exponent bound by dtype: 88.72283 in float32, 709.78 in float64
+SIGMOID_EXPONENT_LIMIT = {dt: _largest_finite_exponent(dt) for dt in (np.float32, np.float64)}
+
+
 def _probabilities(logits: np.ndarray, binary: bool) -> np.ndarray:
-    """Row-wise softmax, written over logits; a binary head's one logit gives [1 - p, p]."""
+    """Row-wise softmax, written over logits; a binary head's one logit gives [1 - p, p].
+
+    The sigmoid's exponent -logits is bounded where its exp is still finite,
+    so exp never overflows and every exponent below the bound keeps its p;
+    one above it gives p below 3e-39 (float32) or 6e-309 (float64), not 0.
+    """
     if binary:
-        p = 1.0 / (1.0 + np.exp(-logits))
+        exponent = np.minimum(-logits, SIGMOID_EXPONENT_LIMIT[logits.dtype.type])
+        p = 1.0 / (1.0 + np.exp(exponent, out=exponent))
         return np.concatenate([1.0 - p, p], axis=1)
     # the ufuncs' own reductions: ndarray.max and .sum call them through a Python wrapper
     logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
@@ -750,6 +771,18 @@ def predict(
 ) -> tuple[list[ResourceClasses], dict[str, np.ndarray]]:
     """Run all four heads on raw task records in one inference pass.
 
+    Returns per-record ResourceClasses (argmax per target, lowest index on
+    ties) and the full probability matrix per target, from
+    :func:`predict_probabilities`.
+    """
+    probs = predict_probabilities(models, records)
+    classes = {target: p.argmax(axis=1) for target, p in probs.items()}
+    return classes_to_resource_classes(classes), probs
+
+
+def predict_probabilities(models: dict[str, TargetModel], records: Sequence) -> dict[str, np.ndarray]:
+    """Each head's (n, classes) probability matrix for raw task records.
+
     The records are encoded once per distinct encoder object, so heads that
     share an encoder (every model set from train_all or load_artifact) share
     one encoded batch. Each head runs through its folded layers
@@ -757,8 +790,6 @@ def predict(
     blocks of ``forward``'s inference mode, and the heads and blocks of one
     call share one scratch set, so the probabilities are those of
     ``forward(model.net, batch)`` on an unchanged network.
-    Returns per-record ResourceClasses (argmax per target, lowest index on
-    ties) and the full probability matrix per target.
     """
     missing = set(TARGET_NAMES) - set(models)
     if missing:
@@ -775,5 +806,4 @@ def predict(
             # two threads may both fold a new model; they store equal layers
             model.folded = _fold(model.net)
         probs[target] = _in_blocks(model.net, model.folded, batches[key], scratch)
-    classes = {target: p.argmax(axis=1) for target, p in probs.items()}
-    return classes_to_resource_classes(classes), probs
+    return probs

@@ -53,14 +53,11 @@ from .metrics import (
     ClasswiseReport,
     ConfusionMatrix,
     PipelineReport,
+    micro_curves,
     per_class_prf,
     pipeline_metrics,
-    pr_auc_micro,
-    pr_curve_points,
-    roc_auc_micro,
-    roc_curve_points,
 )
-from .nnet import Network, TargetModel, TrainConfig, TrainReport, forward, predict, train
+from .nnet import Network, TargetModel, TrainConfig, TrainReport, forward, predict_probabilities, train
 
 # what a head trains in; its params are widened to float64 when training ends
 TRAIN_DTYPE = np.float32
@@ -299,7 +296,7 @@ class EvaluationReport:
 
 def evaluate_models(models: Mapping[str, TargetModel], labeled: Dataset) -> EvaluationReport:
     """:func:`evaluate_predictions` on the heads' predictions for the labeled records."""
-    return evaluate_predictions(predict(dict(models), labeled.records)[1], labeled)
+    return evaluate_predictions(predict_probabilities(dict(models), labeled.records), labeled)
 
 
 def evaluate_predictions(probs: Mapping[str, np.ndarray], labeled: Dataset) -> EvaluationReport:
@@ -316,16 +313,17 @@ def evaluate_predictions(probs: Mapping[str, np.ndarray], labeled: Dataset) -> E
         labels[name] = y_true
         k = p.shape[1]
         cm = ConfusionMatrix.from_labels(y_true, y_pred, k)
+        roc_auc, pr_auc, roc_points, pr_points = micro_curves(p, y_true)
         per_target[name] = TargetEvaluation(
             target=name,
             n_classes=k,
             accuracy=float((y_pred == y_true).mean()),
             classwise=per_class_prf(cm),
-            roc_auc=roc_auc_micro(p, y_true),
-            pr_auc=pr_auc_micro(p, y_true),
+            roc_auc=roc_auc,
+            pr_auc=pr_auc,
             confusion=cm,
-            roc_points=roc_curve_points(p, y_true),
-            pr_points=pr_curve_points(p, y_true),
+            roc_points=roc_points,
+            pr_points=pr_points,
         )
 
     return EvaluationReport(

@@ -1,9 +1,12 @@
 """CSV parsing, round-trips and stratified splitting."""
 
 import csv
+import gc
+import pickle
 import random
 import re
-from dataclasses import fields
+import tracemalloc
+from dataclasses import FrozenInstanceError, fields, replace
 from typing import get_type_hints
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from respred import ingest
 from respred.discretize import TARGET_NAMES
+from respred.simsynth import GeneratorSpec, generate
 from respred.ingest import (
     JOB_COLUMNS,
     TASK_COLUMNS,
@@ -165,6 +169,65 @@ def test_parsed_strings_are_kept_once_per_value(tmp_path):
     jobs, report = parse_job_csv(write(tmp_path, header + "\n" + job + job, name="jobs.csv"))
     assert report.n_rejected == 0
     assert jobs[0].task_id is jobs[1].task_id is tasks.records[7].task_id
+
+
+def test_repeated_numeric_cells_are_kept_once_per_value(tmp_path):
+    header = ",".join(JOB_COLUMNS.values())
+    body = "".join(f"t{i},{1000 + i}.5,0.0,10.0,11.75,{400 + i % 2},0.0,0.0,8,0\n" for i in range(100))
+    jobs, report = parse_job_csv(write(tmp_path, header + "\n" + body, name="jobs.csv"))
+    assert report.n_rejected == 0
+    assert len({id(j.core_power) for j in jobs}) == 1 and jobs[0].core_power == 11.75
+    assert len({id(j.n_events_job) for j in jobs}) == 2 and {j.n_events_job for j in jobs} == {400, 401}
+    assert type(jobs[0].n_events_job) is int
+    assert [j.max_pss for j in jobs] == [1000.5 + i for i in range(100)]
+
+
+# --- parsed rows: slotted frozen records
+
+def assert_sound_rows(rows, record_type):
+    """Each row is a frozen, hashable, picklable record equal to the one its values construct."""
+    for row in rows:
+        assert type(row) is record_type and not hasattr(row, "__dict__")
+        built = record_type(*[getattr(row, f.name) for f in fields(record_type)])
+        assert row == built and hash(row) == hash(built)
+        assert pickle.loads(pickle.dumps(row, pickle.HIGHEST_PROTOCOL)) == row
+        assert replace(row) == row and replace(row, task_id="other").task_id == "other"
+        with pytest.raises(FrozenInstanceError):
+            row.task_id = "other"
+
+
+@pytest.fixture(scope="module")
+def synthetic_csvs(tmp_path_factory):
+    synth = generate(GeneratorSpec(seed=5, n_tasks=300))
+    folder = tmp_path_factory.mktemp("synthetic")
+    write_task_csv(synth.dataset, folder / "tasks.csv")
+    write_job_csv(synth.jobs, folder / "jobs.csv")
+    return synth, folder
+
+
+def test_rows_of_a_synthetic_file_are_sound(synthetic_csvs):
+    synth, folder = synthetic_csvs
+    tasks = parse_task_csv(folder / "tasks.csv")
+    jobs, report = parse_job_csv(folder / "jobs.csv")
+    assert tasks.records == synth.dataset.records and jobs == synth.jobs and report.n_rejected == 0
+    assert_sound_rows(tasks.records, TaskRecord)
+    assert_sound_rows(jobs, JobProfile)
+
+
+def test_parsed_job_rows_are_small(synthetic_csvs):
+    # about 250 bytes a job, list slot and its own floats included; dict-backed rows took about 350
+    _, folder = synthetic_csvs
+    parse_job_csv(folder / "jobs.csv")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        jobs, _ = parse_job_csv(folder / "jobs.csv")
+        gc.collect()
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(jobs) > 2000
+    assert retained / len(jobs) <= 280
 
 
 # --- reader behaviour a csv.DictReader gave and the column-table reader keeps
@@ -407,7 +470,7 @@ def fuzzed_csv(rng, record_type, columns, class_columns):
 
 
 def typed(records):
-    return [[(type(v), v) for v in vars(r).values()] for r in records]
+    return [[(type(v), v) for v in (getattr(r, f.name) for f in fields(r))] for r in records]
 
 
 def parsed_or_error(parse, path):
@@ -435,6 +498,7 @@ def test_block_reader_matches_per_row_reader(tmp_path, monkeypatch, seed):
             assert typed(got.records) == typed(records)
             assert got.labels == {}
             assert got.report == report
+            assert_sound_rows(got.records, TaskRecord)
 
         path.write_bytes(fuzzed_csv(rng, JobProfile, JOB_COLUMNS, ()).encode("utf-8"))
         expected = parsed_or_error(reference_job_csv, path)
@@ -444,6 +508,7 @@ def test_block_reader_matches_per_row_reader(tmp_path, monkeypatch, seed):
         else:
             assert typed(got[0]) == typed(expected[0])
             assert got[1] == expected[1]
+            assert_sound_rows(got[0], JobProfile)
 
 
 # --- stratified splitting

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from respred.ingest import Dataset, TaskRecord
 from respred.metrics import (
     ConfusionMatrix,
+    micro_curves,
     per_class_prf,
     pipeline_metrics,
     pr_auc_micro,
@@ -235,6 +237,67 @@ def test_pr_curve_points_shape():
     assert points[0, 0] == 0.0          # starts at recall 0
     assert points[-1, 0] == 1.0         # ends at recall 1
     assert ((0 <= points) & (points <= 1)).all()
+
+
+# --- one sweep for all four
+
+def test_micro_curves_equal_the_four_functions_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        k = int(rng.integers(1, 5)) + 1
+        n = int(rng.integers(2, 40))
+        labels = rng.integers(0, k, n)
+        probs = np.round(rng.random((n, k)), int(rng.integers(1, 4)))
+        roc_auc, pr_auc, roc_points, pr_points = micro_curves(probs, labels)
+        assert roc_auc == roc_auc_micro(probs, labels)
+        assert pr_auc == pr_auc_micro(probs, labels)
+        assert np.array_equal(roc_points, roc_curve_points(probs, labels))
+        assert np.array_equal(pr_points, pr_curve_points(probs, labels))
+
+
+@pytest.mark.parametrize("probs, labels", [
+    (np.ones((3, 1)), np.zeros(3, dtype=int)),
+    (np.zeros((0, 2)), np.zeros(0, dtype=int)),
+])
+def test_micro_curves_refuse_what_roc_auc_refuses(probs, labels):
+    with pytest.raises(ValueError) as expected:
+        roc_auc_micro(probs, labels)
+    with pytest.raises(ValueError) as got:
+        micro_curves(probs, labels)
+    assert str(got.value) == str(expected.value)
+
+
+def evaluation_input(rng, n):
+    records = [TaskRecord(f"t{i}", "sim", "A", 1, 1, 1, 1) for i in range(n)]
+    k = {"RAMCOUNT": 4, "CPUTIME": 3, "IOINTENSITY": 2, "WALLTIME": 5}
+    labels = {t: rng.integers(0, k[t], n) for t in TARGETS}
+    probs = {t: np.round(rng.dirichlet(np.ones(k[t]), n), 2) for t in TARGETS}
+    return probs, Dataset(records=records, labels=labels)
+
+
+def test_evaluation_report_fields_equal_the_four_functions_bit_for_bit():
+    from respred.pipeline import evaluate_predictions
+
+    probs, labeled = evaluation_input(np.random.default_rng(14), 200)
+    report = evaluate_predictions(probs, labeled)
+    for t in TARGETS:
+        ev, p, y = report.per_target[t], probs[t], labeled.labels[t]
+        assert ev.roc_auc == roc_auc_micro(p, y), t
+        assert ev.pr_auc == pr_auc_micro(p, y), t
+        assert np.array_equal(ev.roc_points, roc_curve_points(p, y)), t
+        assert np.array_equal(ev.pr_points, pr_curve_points(p, y)), t
+
+
+def test_evaluation_of_a_head_without_a_negative_pair_raises_what_roc_auc_raises():
+    from respred.pipeline import evaluate_predictions
+
+    probs, labeled = evaluation_input(np.random.default_rng(15), 6)
+    probs["CPUTIME"], labeled.labels["CPUTIME"] = np.ones((6, 1)), np.zeros(6, dtype=np.int64)
+    with pytest.raises(ValueError) as expected:
+        roc_auc_micro(probs["CPUTIME"], labeled.labels["CPUTIME"])
+    with pytest.raises(ValueError) as got:
+        evaluate_predictions(probs, labeled)
+    assert str(got.value) == str(expected.value)
 
 
 # --- pipeline metrics

@@ -106,6 +106,37 @@ def test_binary_head_emits_two_columns():
     assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-12
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_binary_sigmoid_does_not_overflow(dtype):
+    # exp(-logit) overflows below about -88.7 in float32 and -709 in float64
+    limit = nnet.SIGMOID_EXPONENT_LIMIT[dtype]
+    with np.errstate(over="ignore"):
+        assert np.isfinite(np.exp(limit)) and np.exp(np.nextafter(limit, dtype(np.inf))) == np.inf
+    edge = [-limit, np.nextafter(-limit, dtype(-np.inf)), np.nextafter(-limit, dtype(np.inf))]
+    logits = np.concatenate([np.linspace(-2000, 2000, 4001), edge]).astype(dtype)[:, None]
+    with np.errstate(over="raise"):
+        probs = nnet._probabilities(logits.copy(), binary=True)
+    assert probs.dtype == dtype
+    # the unbounded sigmoid, wherever its exp stays finite, bit for bit
+    with np.errstate(over="ignore"):
+        exp = np.exp(-logits[:, 0])
+    finite = np.isfinite(exp)
+    p = 1.0 / (1.0 + exp[finite])
+    assert np.array_equal(probs[finite, 1], p) and np.array_equal(probs[finite, 0], 1.0 - p)
+    assert (~finite).sum() > 1000
+    assert (probs[~finite, 0] == 1.0).all() and (probs[~finite, 1] < 1e-38).all()
+
+
+def test_binary_forward_of_a_very_negative_logit_does_not_overflow():
+    rng = np.random.default_rng(4)
+    net = tiny_net(n_classes=2)
+    net.params["out:W"][:] = 0.0
+    net.params["out:b"][:] = -1000.0
+    with np.errstate(over="raise"):
+        probs = forward(net, tiny_batch(rng, n_classes=2), mode="inference")
+    assert (probs[:, 0] == 1.0).all() and (probs[:, 1] < 1e-300).all()
+
+
 def test_inference_repeatable():
     rng = np.random.default_rng(3)
     net = tiny_net()

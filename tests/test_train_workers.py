@@ -86,8 +86,9 @@ def test_an_exception_that_does_not_unpickle_becomes_a_runtime_error(synth):
 
 
 def test_a_warning_that_is_an_error_here_is_one_in_the_workers(synth, monkeypatch):
-    # at this rate the training arithmetic overflows within two epochs
-    cfg = TrainConfig(max_epochs=2, learning_rate=1e6)
+    # at this rate the training arithmetic overflows within two epochs: the weights
+    # pass 1e20 in one step, and the next float32 matmul overflows
+    cfg = TrainConfig(max_epochs=2, learning_rate=1e20)
     monkeypatch.setattr(sys, "warnoptions", [*sys.warnoptions, "error::RuntimeWarning"])
     with pytest.raises(RuntimeWarning, match="encountered") as raised:
         train_all(synth.dataset, synth.targets, cfg, hidden=HIDDEN)
