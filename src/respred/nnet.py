@@ -15,25 +15,31 @@ checked against central finite differences.
 Train mode computes in the params' dtype (``Network.dtype``): its workspace,
 dropout draws, class weights and Adam state take it, so a network whose
 params and running statistics are float32 trains in float32 with no upcast
-in a step. Inference always computes in float64: _fold widens the params
+in a step. Inference always computes in float64: _stack widens the params
 first, so a float32 network infers exactly what it serves once widened.
 ``pipeline`` trains its heads that way; a Network is built in float64.
 
-Inference has one arithmetic and no dropout. ``forward``'s inference mode
-and ``predict`` fold each hidden layer's batch normalization, an affine map
-under the running statistics, into the dense weights and bias (see _fold),
-so a hidden layer is one matmul, one add and one ReLU. ``forward`` folds on
-every call, so the finite-difference checks, which change params in place
-between its calls, see every change; ``predict`` folds on a model's first
-call and keeps the layers on the TargetModel, so a model's params and
-running statistics must not change in place after its first predict. Every
-row is computed on its own, so a batch of more than INFERENCE_BLOCK_ROWS
-rows runs as consecutive row blocks, each a view of the batch, that share
-one set of activation arrays and write their probabilities into one output
-array: such a pass holds the output and one block's activations, whatever
-the row count. The four heads of one predict call share that set as well.
-Inference never touches the network's workspace, so concurrent predictions
-on one network are safe.
+Inference has one arithmetic, one kernel and no dropout. The kernel runs a
+stack of heads that share their categorical features and layer widths
+(_Stack): each hidden layer's batch normalization, an affine map under the
+running statistics, is folded into its dense weights and bias, and the H
+heads' folded layers are stacked into (H, in, out) weights, (H, 1, out)
+biases and (H, vocab, dim) embedding tables, so a layer of all H heads is
+one batched matmul, one add and one ReLU. The output layer is padded to
+the widest head with -inf biases, and a binary head's logit z becomes the
+pair (0, z), so one softmax serves every head. ``predict`` runs the four
+heads of a model set as one stack: the set's stacks are made on its first
+predict and kept on its models (``TargetModel.stacked``, see
+_model_stacks), so a model's params and running statistics must not change
+in place after its first predict. ``forward``'s inference mode and the
+per-epoch validation forward are the one-head case, stacked afresh on
+every call. A block is INFERENCE_BLOCK_ROWS // H rows of all H heads, so a
+batch of more rows runs as consecutive blocks, each a view of the batch,
+that share one set of activation arrays and write their probabilities into
+one output array: such a pass holds the output and one block's
+activations, as much as INFERENCE_BLOCK_ROWS rows of one head, whatever
+the row count. Inference never touches the network's workspace, so
+concurrent predictions on one network are safe.
 
 ``_forward_cached`` is the unfolded pass: dense layer, batch normalization,
 ReLU and, in train mode, dropout mask, over the whole batch. It backs train
@@ -342,45 +348,18 @@ def forward(
     one (rows, width) array per hidden layer are a ValueError, as is any
     other mode.
 
-    Inference runs the arithmetic that ``predict`` serves: the network is
-    folded on every call (see _fold), so a change to its params shows in the
-    next call, and the batch runs through the folded layers in blocks of
-    INFERENCE_BLOCK_ROWS rows. Its peak memory does not grow with the row
-    count beyond the (rows, classes) result. Train mode runs the whole
-    batch, whose statistics it needs, through the unfolded pass.
+    Inference is the one-head case of the kernel that ``predict`` serves:
+    the network is folded into a stack of one (see _Stack) on every call, so
+    a change to its params shows in the next call, and the batch runs
+    through the folded layers in blocks of INFERENCE_BLOCK_ROWS rows. Its
+    peak memory does not grow with the row count beyond the (rows, classes)
+    result. Train mode runs the whole batch, whose statistics it needs,
+    through the unfolded pass.
     """
     _check_call(net, batch.row_count, mode, dropout_masks)
     if mode == "train":
         return _forward_cached(net, batch, mode, dropout_masks)[0]
-    return _in_blocks(net, _fold(net), batch, {})
-
-
-def _in_blocks(
-    net: Network,
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...],
-    batch: EncodedBatch,
-    scratch: dict,
-) -> np.ndarray:
-    """Class probabilities of a batch through the folded layers.
-
-    A batch of at most INFERENCE_BLOCK_ROWS rows is one block; a larger one
-    runs as consecutive blocks of that many rows, each a view of the batch,
-    whose probabilities are written into one output array. Every block
-    writes its activations into ``scratch``: with fresh arrays, each block's
-    megabytes would go back to the OS and fault in again.
-    """
-    n = batch.row_count
-    if n <= INFERENCE_BLOCK_ROWS:
-        return _folded_probs(net, layers, batch, scratch)
-    probs = np.empty((n, net.n_classes))
-    for start in range(0, n, INFERENCE_BLOCK_ROWS):
-        rows = slice(start, start + INFERENCE_BLOCK_ROWS)
-        n_block = min(n - start, INFERENCE_BLOCK_ROWS)
-        if n_block < INFERENCE_BLOCK_ROWS:
-            # the short last block writes into the leading rows of the full blocks' arrays
-            scratch = {(name, (n_block, *shape[1:])): buf[:n_block] for (name, shape), buf in scratch.items()}
-        probs[rows] = _folded_probs(net, layers, batch.take(rows), scratch)
-    return probs
+    return _stacked_probs(_stack([net]), batch, {})[0]
 
 
 def class_weight_vector(labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -669,7 +648,7 @@ def train(
                 return report
 
             report.train_loss.append(float(np.mean(batch_losses)))
-            val_probs = _in_blocks(net, _fold(net), val_batch, val_scratch)
+            val_probs = _stacked_probs(_stack([net]), val_batch, val_scratch)[0]
             report.val_loss.append(loss(val_probs, val_batch.labels, weights, net, cfg))
             val_acc = float((val_probs.argmax(axis=1) == val_batch.labels).mean())
             report.val_accuracy.append(val_acc)
@@ -699,10 +678,10 @@ def train(
 class TargetModel:
     """One trained head bundled with the specs its inputs were built from.
 
-    The first ``predict`` on a model folds its network's batch normalization
-    into the dense layers and keeps the result, so the network's params and
-    running statistics must not be changed in place after that call; build a
-    new TargetModel around a network that changed.
+    The first ``predict`` on a model set folds and stacks its heads (see
+    _model_stacks) and keeps the stacks on its models, so a network's params
+    and running statistics must not be changed in place after that call;
+    build a new TargetModel around a network that changed.
     """
 
     target: str
@@ -710,9 +689,8 @@ class TargetModel:
     encoder: EncoderSpec
     bins: BinSpec
     train_summary: dict = field(default_factory=dict)
-    # (W, b) per dense layer with batch norm folded in, output layer last; see _fold
-    folded: Optional[tuple[tuple[np.ndarray, np.ndarray], ...]] = field(
-        default=None, init=False, repr=False, compare=False)
+    # (the stacks of the model set this model was first predicted in, its place in that set)
+    stacked: Optional[tuple[_SetStacks, int]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.net.input_width != self.encoder.input_width:
@@ -727,42 +705,163 @@ class TargetModel:
             )
 
 
-def _fold(net: Network) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The network's inference layers as float64 (W, b) pairs, batch norm folded in.
+@dataclass(frozen=True, eq=False)
+class _Stack:
+    """Heads of equal layer widths, folded and stacked for one inference pass.
 
-    Inference normalizes ``x @ W + b`` with the running statistics, so with
-    ``s = gamma / sqrt(var + eps)`` a hidden layer is
-    ``relu(x @ (W * s) + ((b - mean) * s + beta))``: one matmul, one add and
-    one ReLU. The output layer follows as it is. A float32 network is
-    widened first, so it folds to exactly the layers it serves once
-    ``pipeline`` widens its params.
+    Head h is index h of every array: one (H, vocab, dim) table per
+    categorical feature, and per dense layer, the output layer last, a
+    (H, in, out) weight and a (H, 1, out) bias. A hidden layer has batch
+    normalization folded in: inference normalizes ``x @ W + b`` with the
+    running statistics, so with ``s = gamma / sqrt(var + eps)`` it is
+    ``relu(x @ (W * s) + ((b - mean) * s + beta))``. The output layer is as
+    wide as the head with the most classes. A binary head's one logit z
+    sits in column 1 beside a zero logit, since the softmax of (0, z) is
+    (1 - sigmoid(z), sigmoid(z)); the columns past a head's classes have a
+    -inf bias, so their softmax share is exactly 0. Every array is a float64
+    copy: a float32 network computes what it serves once widened.
     """
-    params = {k: v.astype(np.float64, copy=False) for k, v in net.params.items() if not k.startswith("emb:")}
-    running = {k: v.astype(np.float64, copy=False) for k, v in net.running.items()}
+
+    cat_features: tuple[tuple[str, int, int], ...]
+    input_width: int
+    embeddings: tuple[np.ndarray, ...]
+    layers: tuple[tuple[np.ndarray, np.ndarray], ...]
+    n_classes: tuple[int, ...]
+
+
+def _stack(nets: Sequence[Network]) -> _Stack:
+    """The nets' inference layers stacked; they share categorical features and layer widths."""
+    params = [{k: v.astype(np.float64, copy=False) for k, v in net.params.items()} for net in nets]
+    running = [{k: v.astype(np.float64, copy=False) for k, v in net.running.items()} for net in nets]
+    first = nets[0]
     layers = []
-    for i in range(len(net.hidden)):
-        W, b, gamma, beta = (params[f"dense{i}:{k}"] for k in ("W", "b", "gamma", "beta"))
-        s = gamma / np.sqrt(running[f"dense{i}:var"] + BN_EPS)
-        layers.append((W * s, (b - running[f"dense{i}:mean"]) * s + beta))
-    layers.append((params["out:W"].copy(), params["out:b"].copy()))
-    return tuple(layers)
+    for i in range(len(first.hidden)):
+        weights, biases = [], []
+        for p, r in zip(params, running):
+            s = p[f"dense{i}:gamma"] / np.sqrt(r[f"dense{i}:var"] + BN_EPS)
+            weights.append(p[f"dense{i}:W"] * s)
+            biases.append((p[f"dense{i}:b"] - r[f"dense{i}:mean"]) * s + p[f"dense{i}:beta"])
+        layers.append((np.stack(weights), np.stack(biases)[:, None, :]))
+    width = max(net.n_classes for net in nets)
+    W_out = np.zeros((len(nets), params[0]["out:W"].shape[0], width))
+    b_out = np.full((len(nets), 1, width), -np.inf)
+    for h, (net, p) in enumerate(zip(nets, params)):
+        b_out[h, 0, :net.n_classes] = 0.0
+        first_logit = 1 if net.binary else 0
+        W_out[h, :, first_logit:net.n_classes] = p["out:W"]
+        b_out[h, 0, first_logit:net.n_classes] = p["out:b"]
+    layers.append((W_out, b_out))
+    return _Stack(
+        cat_features=first.cat_features,
+        input_width=first.input_width,
+        embeddings=tuple(np.stack([p[f"emb:{name}"] for p in params]) for name, _, _ in first.cat_features),
+        layers=tuple(layers),
+        n_classes=tuple(net.n_classes for net in nets),
+    )
 
 
-def _folded_probs(
-    net: Network,
-    layers: tuple[tuple[np.ndarray, np.ndarray], ...],
-    batch: EncodedBatch,
-    scratch: dict,
-) -> np.ndarray:
-    """Class probabilities of one block through the folded layers."""
-    n = batch.row_count
-    x = _concat_inputs(net, batch, out=_buffer(scratch, "x0", (n, net.input_width)))
-    *hidden, (W_out, b_out) = layers
+def _scratch(store: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous float64 array of shape on store's flat array for name, grown on demand."""
+    size = math.prod(shape)
+    flat = store.get(name)
+    if flat is None or flat.size < size:
+        flat = store[name] = np.empty(size)
+    return flat[:size].reshape(shape)
+
+
+def _stacked_probs(stack: _Stack, batch: EncodedBatch, scratch: dict) -> list[np.ndarray]:
+    """Each stacked head's (rows, classes) probabilities for a batch.
+
+    A block is INFERENCE_BLOCK_ROWS // H rows of all H heads, so its
+    activations take as much memory as INFERENCE_BLOCK_ROWS rows of one
+    head. A larger batch runs as consecutive blocks, each a view of the
+    batch, that write their activations into ``scratch`` (with fresh arrays,
+    each block's megabytes would go back to the OS and fault in again) and
+    their probabilities into one (H, rows, width) array. A head's result is
+    its view of that array.
+    """
+    n_heads, n = len(stack.n_classes), batch.row_count
+    probs = np.empty((n_heads, n, stack.layers[-1][0].shape[2]))
+    block_rows = max(1, INFERENCE_BLOCK_ROWS // n_heads)
+    if n <= block_rows:
+        _block_probs(stack, batch, scratch, probs)
+    else:
+        for start in range(0, n, block_rows):
+            rows = slice(start, start + block_rows)
+            _block_probs(stack, batch.take(rows), scratch, probs[:, rows])
+    return [probs[h, :, :k] for h, k in enumerate(stack.n_classes)]
+
+
+def _block_probs(stack: _Stack, batch: EncodedBatch, scratch: dict, out: np.ndarray) -> None:
+    """Write one block's probabilities, (H, rows, width), into out."""
+    n_heads, n = len(stack.n_classes), batch.row_count
+    x = _scratch(scratch, "x0", (n_heads, n, stack.input_width))
+    col = 0
+    for (name, vocab, dim), table in zip(stack.cat_features, stack.embeddings):
+        try:
+            np.take(table, batch.categorical_indices[name], axis=1, out=x[:, :, col:col + dim])
+        except IndexError:
+            raise ValueError(f"{name}: index exceeds vocabulary size {vocab}") from None
+        col += dim
+    numeric = batch.numeric_matrix
+    if col + numeric.shape[1] != stack.input_width:
+        raise ValueError(
+            f"encoded width {col + numeric.shape[1]} does not match network input width {stack.input_width}"
+        )
+    x[:, :, col:] = numeric
+    *hidden, (W_out, b_out) = stack.layers
     for i, (W, b) in enumerate(hidden):
-        x = np.matmul(x, W, out=_buffer(scratch, f"out{i}", (n, W.shape[1])))
+        x = np.matmul(x, W, out=_scratch(scratch, f"out{i}", (n_heads, n, W.shape[2])))
         x += b
         np.maximum(x, 0.0, out=x)
-    return _probabilities(x @ W_out + b_out, net.binary)
+    # into contiguous scratch: out, a block of the (H, rows, width) result, is strided
+    logits = np.matmul(x, W_out, out=_scratch(scratch, "logits", out.shape))
+    logits += b_out
+    # the softmax of _probabilities, along the last axis; a padded column is exp(-inf) = 0
+    logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= np.add.reduce(logits, axis=2, keepdims=True)
+    out[...] = logits
+
+
+@dataclass(frozen=True, eq=False)
+class _SetStacks:
+    """A model set's stacks: its heads grouped by encoder and layer widths, in the set's order."""
+
+    targets: tuple[str, ...]
+    groups: tuple[tuple[EncoderSpec, _Stack, tuple[str, ...]], ...]
+
+
+def _model_stacks(models: dict[str, TargetModel]) -> _SetStacks:
+    """The stacks of a model set, made on its first predict and kept on its models.
+
+    Model i of the set keeps (stacks, i), so the kept stacks serve only a
+    set of these very models in this very order; any other set, a set made
+    of new models included, gets stacks of its own. Two threads that both
+    make a set's first predict each stack it and store theirs.
+    """
+    targets = tuple(models)
+    kept = next(iter(models.values())).stacked
+    # stacks compare by identity: one read of each model's pair, which another thread may replace
+    if kept is not None and kept[0].targets == targets and all(
+            model.stacked == (kept[0], i) for i, model in enumerate(models.values())):
+        return kept[0]
+    members: list[tuple[TargetModel, list[str]]] = []
+    for target, model in models.items():
+        net = model.net
+        for lead, group in members:
+            if (lead.encoder == model.encoder and lead.net.hidden == net.hidden
+                    and lead.net.cat_features == net.cat_features
+                    and lead.net.input_width == net.input_width):
+                group.append(target)
+                break
+        else:
+            members.append((model, [target]))
+    stacks = _SetStacks(targets, tuple(
+        (lead.encoder, _stack([models[t].net for t in group]), tuple(group)) for lead, group in members))
+    for i, model in enumerate(models.values()):
+        model.stacked = (stacks, i)
+    return stacks
 
 
 def predict(
@@ -783,27 +882,18 @@ def predict(
 def predict_probabilities(models: dict[str, TargetModel], records: Sequence) -> dict[str, np.ndarray]:
     """Each head's (n, classes) probability matrix for raw task records.
 
-    The records are encoded once per distinct encoder object, so heads that
-    share an encoder (every model set from train_all or load_artifact) share
-    one encoded batch. Each head runs through its folded layers
-    (``TargetModel.folded``, made on the model's first predict) in the row
-    blocks of ``forward``'s inference mode, and the heads and blocks of one
-    call share one scratch set, so the probabilities are those of
-    ``forward(model.net, batch)`` on an unchanged network.
+    The heads that share an encoder and layer widths (all four in every
+    model set from train_all or load_artifact) are one stack, whose records
+    are encoded once and which runs in one pass per row block. The
+    probabilities are those of ``forward(model.net, batch)`` on an unchanged
+    network, and the stacks share one scratch set.
     """
     missing = set(TARGET_NAMES) - set(models)
     if missing:
         raise ValueError(f"missing models for targets: {sorted(missing)}")
 
-    batches: dict[int, EncodedBatch] = {}
     probs: dict[str, np.ndarray] = {}
     scratch: dict = {}
-    for target, model in models.items():
-        key = id(model.encoder)
-        if key not in batches:
-            batches[key] = encode(records, model.encoder)
-        if model.folded is None:
-            # two threads may both fold a new model; they store equal layers
-            model.folded = _fold(model.net)
-        probs[target] = _in_blocks(model.net, model.folded, batches[key], scratch)
-    return probs
+    for encoder, stack, targets in _model_stacks(models).groups:
+        probs.update(zip(targets, _stacked_probs(stack, encode(records, encoder), scratch)))
+    return {target: probs[target] for target in models}

@@ -10,14 +10,15 @@ held out from all four heads, and the saved artifact carries one encoder.
 ``train_all`` trains the four heads at once, each in its own worker
 interpreter (``sys.executable``) with one BLAS thread; at these layer
 widths a second BLAS thread buys nothing, while a second core running a
-second head halves the wait. The job, ``train_target``'s arguments for all
-four heads, is pickled once and written to every worker's stdin. Training
-one head is two steps: ``_fit`` computes the network, its report, the test
-accuracy and the majority baseline, and ``_trained`` wraps those four
-values around the caller's own encoder, test split and bins. A worker
-sends back ``_fit``'s four values as a plain pickle on stdout, and the
-caller wraps them, so the heads share the caller's objects in process and
-across processes alike.
+second head halves the wait. The job, what ``_fit`` reads of the split
+(the encoder, the three encoded batches and each part's labels, but not its
+records) and each head's target, bins and config, is pickled once and
+written to every worker's stdin. Training one head is two steps: ``_fit``
+computes the network, its report, the test accuracy and the majority
+baseline, and ``_trained`` wraps those four values around the caller's own
+encoder, test split and bins. A worker sends back ``_fit``'s four values as
+a plain pickle on stdout, and the caller wraps them, so the heads share the
+caller's objects in process and across processes alike.
 ``_fit`` trains in TRAIN_DTYPE (float32): it narrows the new network's params
 and running statistics and the train batch's numeric matrix, and widens the
 params and statistics back to float64 when ``train`` returns. So the
@@ -105,16 +106,26 @@ def train_target(
     hidden: tuple[int, ...] = (256, 128, 64),
 ) -> TrainedTarget:
     """Train one head on the shared batches; report held-out accuracy."""
-    return _trained(data, target, bins, *_fit(data, target, bins, cfg, hidden))
+    return _trained(data, target, bins, *_fit(_fit_inputs(data), target, bins, cfg, hidden))
 
 
-def _fit(data: EncodedSplit, target: str, bins: BinSpec, cfg: TrainConfig,
+# what _fit reads of a split: its encoder, its three batches and each part's labels by target
+_FitInputs = tuple[EncoderSpec, tuple[EncodedBatch, ...], tuple[dict[str, np.ndarray], ...]]
+
+
+def _fit_inputs(data: EncodedSplit) -> _FitInputs:
+    """The split without its records, which ``_fit`` never reads."""
+    return data.encoder, data.batches, tuple(part.labels for part in data.split)
+
+
+def _fit(inputs: _FitInputs, target: str, bins: BinSpec, cfg: TrainConfig,
          hidden: tuple[int, ...]) -> tuple[Network, TrainReport, float, float]:
     """What training one head computes: its network, report, test accuracy and majority baseline."""
+    encoder, batches, labels = inputs
     train_batch, val_batch, test_batch = (
-        replace(batch, labels=part.labels[target]) for batch, part in zip(data.batches, data.split)
+        replace(batch, labels=part_labels[target]) for batch, part_labels in zip(batches, labels)
     )
-    net = Network(data.encoder, n_classes=bins.n_classes, hidden=hidden, seed=cfg.seed)
+    net = Network(encoder, n_classes=bins.n_classes, hidden=hidden, seed=cfg.seed)
     _cast(net, TRAIN_DTYPE)
     train_batch = replace(train_batch, numeric_matrix=train_batch.numeric_matrix.astype(TRAIN_DTYPE))
     report = train(net, train_batch, val_batch, cfg)
@@ -185,7 +196,7 @@ def _train_in_workers(
     hidden: tuple[int, ...],
 ) -> dict[str, TrainedTarget]:
     """``train_target(data, *head, hidden)`` for every head, with each ``_fit`` in its own worker process."""
-    job = pickle.dumps((data, heads, hidden), pickle.HIGHEST_PROTOCOL)
+    job = pickle.dumps((_fit_inputs(data), heads, hidden), pickle.HIGHEST_PROTOCOL)
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, (_PACKAGE_PARENT, os.environ.get("PYTHONPATH")))),
@@ -240,9 +251,9 @@ def _train_worker() -> None:
     out = sys.stdout.buffer
     sys.stdout = sys.stderr        # a stray print must not corrupt the reply
     try:
-        data, heads, hidden = pickle.load(sys.stdin.buffer)
+        inputs, heads, hidden = pickle.load(sys.stdin.buffer)
         target, bins, cfg = heads[int(sys.argv[1])]
-        reply = pickle.dumps(("ok", _fit(data, target, bins, cfg, hidden)), pickle.HIGHEST_PROTOCOL)
+        reply = pickle.dumps(("ok", _fit(inputs, target, bins, cfg, hidden)), pickle.HIGHEST_PROTOCOL)
     except Exception as exc:
         try:
             blob = pickle.dumps(exc, pickle.HIGHEST_PROTOCOL)

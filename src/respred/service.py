@@ -8,19 +8,25 @@ exposes POST /predict, POST /feedback, GET /health and GET /metrics-summary
 over plain HTTP/JSON; a request body over MAX_BODY_BYTES is refused with 413
 before it is read, and one that falls short of its Content-Length for
 READ_TIMEOUT_S gets a 408. The service speaks HTTP/1.1 with keep-alive, one
-thread per open connection, and writes each response in one socket write.
-A connection closes after an HTTP/1.0 request, a Connection: close, any
-response sent while the request's body is unread, or READ_TIMEOUT_S idle
-between requests (without a response). Feedback is appended to
-a JSONL log, each line marked with whether its task is among the last
-MAX_TRACKED_TASKS predicted by this process, and folded into per-target
-agreement counters; a restarted service replays the log into its counters.
-GET /health names the serving artifact by the SHA-256 of its file, its
-created_at and its config fingerprint.
+thread per open connection, and writes each response, status line and
+headers built as bytes, in one socket write. It reads a request's header
+fields without email.parser (see _Handler.parse_request); a request whose
+framing is ambiguous, with two different Content-Length values, a folded
+header line or whitespace before a colon, gets a 400 and a closed
+connection. A connection closes after an HTTP/1.0 request, a
+Connection: close, any response sent while the request's body is unread,
+or READ_TIMEOUT_S idle between requests (without a response). Feedback is
+appended to a JSONL log, each line marked with whether its task is among
+the last MAX_TRACKED_TASKS predicted by this process, and folded into
+per-target agreement counters; a restarted service replays the log into its
+counters. GET /health names the serving artifact by the SHA-256 of its
+file, its created_at and its config fingerprint.
 """
 
 from __future__ import annotations
 
+import email.utils
+import functools
 import hashlib
 import json
 import math
@@ -31,6 +37,8 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from http import HTTPStatus
+from http.client import _MAXHEADERS, _MAXLINE
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping, Optional
@@ -40,7 +48,7 @@ import numpy as np
 from .discretize import TARGET_NAMES, BinSpec, assign_class, class_to_allocation
 from .encode import UNKNOWN_INDEX, UNKNOWN_TOKEN, CategoricalSpec, EncoderSpec, NumericSpec
 from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, TaskRecord
-from .nnet import Network, TargetModel, TrainConfig, predict
+from .nnet import Network, TargetModel, TrainConfig, predict_probabilities
 
 MAGIC = b"RPAF"
 FORMAT_VERSION = 2
@@ -156,14 +164,8 @@ def _artifact_bytes(artifact: ModelArtifact) -> bytes:
         header["targets"][target] = entry
 
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<I", FORMAT_VERSION)
-    out += struct.pack("<Q", len(header_bytes))
-    out += header_bytes
-    for b in blocks:
-        out += b
-    return bytes(out)
+    # one join: a growing bytearray and its copy would hold the weights three times over
+    return b"".join([MAGIC, struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)), header_bytes, *blocks])
 
 
 def save_artifact(
@@ -318,18 +320,19 @@ def predict_request(artifact: ModelArtifact, doc: Mapping) -> dict:
     """One prediction document: class, probabilities and allocation per target."""
     record = record_from_request(doc)
     started = time.perf_counter()
-    classes, probs = predict(artifact.models, [record])
+    probs = predict_probabilities(artifact.models, [record])
     elapsed = time.perf_counter() - started
 
-    response: dict = {"task_id": record.task_id, "predictions": {}}
-    for target, k in zip(TARGET_NAMES, classes[0]):
-        response["predictions"][target] = {
+    predictions: dict = {}
+    for target in TARGET_NAMES:
+        row = probs[target][0]
+        k = int(row.argmax())       # the lowest class on ties
+        predictions[target] = {
             "class": k,
-            "probabilities": [_sig9(p) for p in probs[target][0]],
+            "probabilities": [_sig9(p) for p in row.tolist()],
             "allocation": class_to_allocation(k, artifact.models[target].bins),
         }
-    response["inference_seconds"] = elapsed
-    return response
+    return {"task_id": record.task_id, "predictions": predictions, "inference_seconds": elapsed}
 
 
 @dataclass
@@ -493,6 +496,29 @@ class PredictionService:
 
 # --- http layer ---------------------------------------------------------------
 
+# json.dumps(payload, allow_nan=False) without making an encoder per call
+_JSON = json.JSONEncoder(allow_nan=False)
+
+
+@functools.lru_cache(maxsize=1)
+def _date_line(second: int) -> bytes:
+    """The Date header line of the responses sent in that second: formatted once per second."""
+    return f"Date: {email.utils.formatdate(second, usegmt=True)}\r\n".encode()
+
+
+class _Headers(dict):
+    """A request's header fields by lower-cased name; a repeated name keeps its first value."""
+
+    def __contains__(self, name: str) -> bool:
+        return dict.__contains__(self, name.lower())
+
+    def __getitem__(self, name: str) -> str:
+        return dict.__getitem__(self, name.lower())
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
 class _Handler(BaseHTTPRequestHandler):
     service: PredictionService   # set by make_server
     # HTTP/1.1: a connection stays open for the client's next request, unless the
@@ -501,22 +527,113 @@ class _Handler(BaseHTTPRequestHandler):
     # applied to the connection's socket by StreamRequestHandler.setup: a body cut short
     # gets a 408, and a connection idle between requests is closed without a response
     timeout = READ_TIMEOUT_S
+    _server_header = (f"Server: {BaseHTTPRequestHandler.server_version} "
+                      f"{BaseHTTPRequestHandler.sys_version}\r\n").encode()
+
+    def parse_request(self) -> bool:
+        """BaseHTTPRequestHandler.parse_request, with the header fields read without email.parser.
+
+        The request line, the HTTP/0.9 and HTTP/1.0 rules, the Connection and
+        Expect handling and http.client's limits (a line over 65,536 bytes or
+        over 100 lines, the blank one included, is a 431) are the stdlib's.
+        The fields go into a _Headers. RFC 9112 makes a request whose framing
+        is ambiguous a 400, sent once the header section is read: two
+        different Content-Length values (the 400 names Content-Length),
+        a line folded onto the one before it (obs-fold), whitespace between a
+        name and its colon, and a line with no name or no colon.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            major, dot, minor = version[5:].partition(".")
+            # isdecimal: in latin-1, only 0-9; stdlib's isdigit passes superscripts that int() refuses
+            if not (version.startswith("HTTP/") and dot and major.isdecimal() and minor.isdecimal()
+                    and len(major) <= 10 and len(minor) <= 10):
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
+                return False
+            number = int(major), int(minor)
+            if number >= (2, 0):
+                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.close_connection = number < (1, 1)
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if command != "GET":
+                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        # a path that opens with // would read as a host to a client that follows it
+        self.command, self.path = command, "/" + path.lstrip("/") if path.startswith("//") else path
+
+        self.headers = headers = _Headers()
+        problem: Optional[tuple[str, Optional[str]]] = None     # (error, field) of the first bad line
+        for count in range(1, _MAXHEADERS + 2):
+            line = self.rfile.readline(_MAXLINE + 1)
+            if len(line) > _MAXLINE:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long",
+                                f"got more than {_MAXLINE} bytes when reading header line")
+                return False
+            if count > _MAXHEADERS:
+                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers",
+                                f"got more than {_MAXHEADERS} headers")
+                return False
+            if line in (b"\r\n", b"\n", b""):
+                break
+            if problem is not None:
+                continue
+            text = line.decode("iso-8859-1").rstrip("\r\n")
+            name, colon, value = text.partition(":")
+            if text[:1] in (" ", "\t"):
+                problem = ("a header line folded onto the one before it (obs-fold) is not accepted", None)
+            elif not colon or not name or name != name.rstrip(" \t"):
+                problem = (f"malformed header line {text!r}: expected name: value",
+                           name.strip() if colon and name.strip() else None)
+            else:
+                key, value = name.lower(), value.strip(" \t")
+                first = dict.setdefault(headers, key, value)
+                if key == "content-length" and first != value:
+                    problem = (f"conflicting Content-Length values {first!r} and {value!r}", "Content-Length")
+        if problem is not None:
+            self.close_connection = True
+            self._send(400, {"error": problem[0], "field": problem[1]})
+            return False
+
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
+            return self.handle_expect_100()
+        return True
 
     def _send(self, code: int, payload: dict) -> None:
-        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        body = _JSON.encode(payload).encode("utf-8")
         if self.request_version == "HTTP/0.9":     # no status line and no headers
             self.wfile.write(body)
             return
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection or self.request_version != "HTTP/1.1":
-            self.send_header("Connection", "close")     # also sets close_connection
-        # the body joins the buffered status line and headers, so the response leaves in
-        # one socket write: a second write would wait, by Nagle's algorithm, for the
-        # client's delayed ACK of the first (about 40 ms)
-        self._headers_buffer.append(b"\r\n" + body)
-        self.flush_headers()
+        if self.request_version != "HTTP/1.1":
+            self.close_connection = True
+        # status line, headers and body leave in one socket write: a second write would
+        # wait, by Nagle's algorithm, for the client's delayed ACK of the first (about 40 ms)
+        self.wfile.write(b"".join((
+            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n".encode(),
+            self._server_header,
+            _date_line(int(time.time())),
+            b"Content-Type: application/json; charset=utf-8\r\nContent-Length: %d\r\n" % len(body),
+            b"Connection: close\r\n\r\n" if self.close_connection else b"\r\n",
+            body,
+        )))
 
     def _read_json(self) -> dict:
         # an error sent before the whole body is read closes the connection: the unread

@@ -5,8 +5,12 @@ finite differences against backprop in train mode (fixed dropout masks,
 batch statistics) and inference mode (running statistics).
 """
 
+import gc
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -801,3 +805,116 @@ def test_target_model_validates_widths():
     net = Network(tiny_encoder(n_numeric=1), n_classes=4, seed=0)
     with pytest.raises(ValueError, match="width"):
         TargetModel(target="RAMCOUNT", net=net, encoder=enc, bins=bins)
+
+
+# --- the stacked inference kernel
+
+def random_statistics(models, rng):
+    """Give every head non-trivial biases and batch-norm statistics, so folding them matters."""
+    for model in models.values():
+        net = model.net
+        for i, width in enumerate(net.hidden):
+            for name in ("b", "beta"):
+                net.params[f"dense{i}:{name}"] = rng.normal(0.0, 0.5, width)
+            net.params[f"dense{i}:gamma"] = rng.uniform(0.5, 1.5, width)
+            net.running[f"dense{i}:mean"] = rng.normal(0.0, 0.5, width)
+            net.running[f"dense{i}:var"] = rng.uniform(0.5, 2.0, width)
+        net.params["out:b"] = rng.normal(0.0, 0.5, net.params["out:b"].shape)
+    return models
+
+
+def assert_predict_equals_forward(models, recs):
+    probs = predict(models, recs)[1]
+    assert list(probs) == list(models)
+    for target, model in models.items():
+        batch = encode(recs, model.encoder)
+        for reference in (forward(model.net, batch, mode="inference"),
+                          _forward_cached(model.net, batch, "inference", None)[0]):
+            assert probs[target].shape == reference.shape == (len(recs), model.net.n_classes)
+            assert np.abs(probs[target] - reference).max(initial=0.0) <= 1e-12, target
+            assert np.array_equal(probs[target].argmax(axis=1), reference.argmax(axis=1)), target
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 3, 7, 8, 9, 17])
+def test_stacked_predict_equals_each_heads_forward(monkeypatch, n_rows):
+    # four stacked heads run blocks of 8 // 4 = 2 rows, one head's forward blocks of 8, so
+    # the row counts sit on both sides of both edges; IOINTENSITY is the binary head
+    monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 8)
+    rng = np.random.default_rng(54)
+    models = random_statistics(make_models(seed=11), rng)
+    assert models["IOINTENSITY"].net.binary
+    assert_predict_equals_forward(models, records(n_rows, rng))
+
+
+def test_heads_of_other_widths_run_as_groups_of_the_kernel(monkeypatch):
+    monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 4)
+    rng = np.random.default_rng(55)
+    models = make_models(seed=12)
+    wide = models["CPUTIME"]
+    models["CPUTIME"] = TargetModel(target="CPUTIME", net=Network(wide.encoder, wide.net.n_classes, hidden=(6, 5),
+                                                                  seed=13),
+                                    encoder=wide.encoder, bins=wide.bins)
+    random_statistics(models, rng)
+    assert_predict_equals_forward(models, records(9, rng))
+    groups = nnet._model_stacks(models).groups
+    assert [targets for _, _, targets in groups] == [("RAMCOUNT", "IOINTENSITY", "WALLTIME"), ("CPUTIME",)]
+
+
+def test_a_model_set_keeps_its_stacks_and_another_order_gets_its_own():
+    rng = np.random.default_rng(56)
+    models = random_statistics(make_models(seed=14), rng)
+    recs = records(5, rng)
+    first = predict(models, recs)[1]
+    stacks = models["RAMCOUNT"].stacked[0]
+    second = predict(models, recs)[1]
+    assert all(model.stacked[0] is stacks for model in models.values())
+    for target in models:
+        assert np.array_equal(first[target], second[target])
+    reordered = dict(reversed(models.items()))
+    assert_predict_equals_forward(reordered, recs)
+    assert models["RAMCOUNT"].stacked[0] is not stacks
+
+
+def test_threads_making_a_sets_first_predict_get_equal_answers():
+    # more threads than cores, switching often, all making a fresh set's first predict at once
+    rng = np.random.default_rng(57)
+    recs = records(6, rng)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_ in range(10):
+            models = random_statistics(make_models(seed=20 + round_), np.random.default_rng(round_))
+            start = threading.Barrier(4)
+            answers = {}
+
+            def run(slot, models=models, start=start, answers=answers):
+                start.wait(timeout=10)
+                answers[slot] = predict(models, recs)[1]
+
+            threads = [threading.Thread(target=run, args=(slot,)) for slot in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            assert len(answers) == 4
+            for target, model in models.items():
+                expected = forward(model.net, encode(recs, model.encoder), mode="inference")
+                for answer in answers.values():
+                    assert np.abs(answer[target] - expected).max() <= 1e-12, (round_, target)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_a_new_model_set_never_gets_a_dropped_sets_stacks():
+    # a dropped set's objects free their ids for the next set's, so the stacks live on the
+    # models and go with them: a cache that outlived them, keyed by id(), could serve them again
+    rng = np.random.default_rng(58)
+    recs = records(4, rng)
+    for round_ in range(20):
+        models = random_statistics(make_models(seed=40 + round_), np.random.default_rng(100 + round_))
+        assert_predict_equals_forward(models, recs)
+        stacks = weakref.ref(models["RAMCOUNT"].stacked[0])
+        del models
+        gc.collect()
+        assert stacks() is None

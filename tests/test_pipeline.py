@@ -12,7 +12,7 @@ import pytest
 
 from respred.discretize import TARGET_NAMES
 from respred.nnet import TrainConfig, forward, predict
-from respred.pipeline import _fit, encode_split, evaluate_models, evaluate_predictions, train_all
+from respred.pipeline import _fit, _fit_inputs, encode_split, evaluate_models, evaluate_predictions, train_all
 from respred.service import load_artifact, save_artifact
 from respred.simsynth import GeneratorSpec, generate
 
@@ -34,7 +34,7 @@ def trained(synth):
 def fitted(synth):
     """Each head's ``_fit`` values and its validation batch, labeled."""
     bins, data = encode_split(synth.dataset, synth.targets, 1)
-    return {target: (_fit(data, target, bins[target], CFG, HIDDEN),
+    return {target: (_fit(_fit_inputs(data), target, bins[target], CFG, HIDDEN),
                      replace(data.batches[1], labels=data.split.val.labels[target]))
             for target in TARGET_NAMES}
 

@@ -1010,3 +1010,118 @@ def test_parse_bind(monkeypatch):
     assert parse_bind(None) == ("127.0.0.1", 7777)
     with pytest.raises(ValidationError):
         parse_bind("nope")
+
+
+# --- the header reader
+
+def exchange(base, raw):
+    """Every response byte the server sends for raw request bytes, until it closes or goes quiet."""
+    with connect(base) as sock:
+        sock.settimeout(1.0)
+        sock.sendall(raw)
+        out = b""
+        try:
+            while chunk := sock.recv(65536):
+                out += chunk
+        except (ConnectionResetError, TimeoutError):
+            pass
+    return io.BytesIO(out)
+
+
+@pytest.mark.parametrize("name", ["content-length", "CONTENT-LENGTH", "Content-length"])
+def test_http_header_names_are_case_insensitive(server, name):
+    base, _, synth = server
+    body = json.dumps(sample_request(synth.dataset.records[0])).encode()
+    stream = exchange(base, f"POST /predict HTTP/1.1\r\nHost: x\r\n{name}: {len(body)}\r\n"
+                            "connection: CLOSE\r\n\r\n".encode() + body)
+    status, headers, doc = read_response(stream)
+    assert (status, headers["connection"]) == (200, "close")
+    assert set(json.loads(doc)["predictions"]) == set(TARGETS)
+
+
+@pytest.mark.parametrize("first, second, closed", [("close", "keep-alive", True), ("keep-alive", "close", False)])
+def test_http_a_repeated_header_keeps_its_first_value(server, first, second, closed):
+    # as email.message.Message.get does
+    base, _, _ = server
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        sock.sendall(f"GET /health HTTP/1.1\r\nHost: x\r\nConnection: {first}\r\n"
+                     f"Connection: {second}\r\n\r\n".encode())
+        status, headers, _ = read_response(stream)
+    assert status == 200 and (headers.get("connection") == "close") == closed
+
+
+def test_http_a_repeated_equal_content_length_is_read_once(server):
+    base, _, synth = server
+    body = json.dumps(sample_request(synth.dataset.records[0])).encode()
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        sock.sendall(f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
+                     f"Content-Length:  {len(body)} \r\n\r\n".encode() + body + request_bytes("GET", "/health"))
+        assert read_response(stream)[0] == 200
+        assert read_response(stream)[0] == 200
+
+
+def test_http_conflicting_content_lengths_are_400_and_close(server):
+    # RFC 9112 6.3: answering with either value would let the bytes past it pass as a second request
+    base, _, synth = server
+    body = json.dumps(sample_request(synth.dataset.records[0])).encode()
+    smuggled = b"GET /metrics-summary HTTP/1.1\r\nHost: x\r\n\r\n"
+    stream = exchange(base, f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
+                            f"Content-Length: {len(body) + len(smuggled)}\r\n\r\n".encode() + body + smuggled)
+    status, headers, doc = read_response(stream)
+    assert (status, headers["connection"]) == (400, "close")
+    assert json.loads(doc)["field"] == "Content-Length"
+    assert "Content-Length" in json.loads(doc)["error"]
+    assert stream.read() == b""
+
+
+@pytest.mark.parametrize("line", [
+    b" folded onto Host",                     # obs-fold (RFC 9112 5.2)
+    b"\tfolded onto Host",
+    b"X-Trace : 1",                           # whitespace before the colon (RFC 9112 5.1)
+    b"X-Trace\t: 1",
+    b"no colon at all",
+])
+def test_http_malformed_header_lines_are_400_and_close(server, line):
+    base, _, _ = server
+    stream = exchange(base, b"GET /health HTTP/1.1\r\nHost: x\r\n" + line + b"\r\n\r\n"
+                            + request_bytes("GET", "/health"))
+    status, headers, doc = read_response(stream)
+    assert (status, headers["connection"]) == (400, "close")
+    assert "header line" in json.loads(doc)["error"]
+    assert stream.read() == b""
+
+
+def test_http_a_header_line_over_65536_bytes_is_431(server):
+    base, _, _ = server
+    stream = exchange(base, b"GET /health HTTP/1.1\r\nX-Long: " + b"a" * 65_527 + b"\r\n\r\n")
+    status_line = stream.readline()
+    assert status_line.split(b" ", 2)[1:] == [b"431", b"Line too long\r\n"]
+
+
+@pytest.mark.parametrize("n_headers, expected", [(99, b"200"), (101, b"431")])
+def test_http_more_than_100_header_lines_are_431(server, n_headers, expected):
+    # http.client's limit counts the blank line that ends the header section
+    base, _, _ = server
+    fields = b"".join(b"X-%d: 1\r\n" % i for i in range(n_headers - 1))
+    stream = exchange(base, b"GET /health HTTP/1.0\r\nHost: x\r\n" + fields + b"\r\n")
+    status_line = stream.readline()
+    assert status_line.split(b" ")[1] == expected
+    if expected == b"431":
+        assert status_line.rstrip().endswith(b"Too many headers")
+
+
+@pytest.mark.parametrize("request_line, expected", [
+    # an error before the version is known is a bare HTML page: no status line and no headers
+    (b"POST /predict", b"Error code: 400"),     # HTTP/0.9 knows only GET
+    (b"GET /health HTTP/1.x", b"Error code: 400"),
+    (b"GET /health HTTP/1.1.1", b"Error code: 400"),
+    (b"GET /health HTTP/\xb2.0", b"Error code: 400"),
+    (b"GET /health HTTP/2.0", b"Error code: 505"),
+    (b"GET /health HTTP/1.1 extra", b"Error code: 400"),
+    (b"GET //health HTTP/1.0", b"HTTP/1.1 200 OK\r\n"),    # a leading // reads as one /
+])
+def test_http_request_line_answers_are_the_stdlibs(server, request_line, expected):
+    base, _, _ = server
+    answer = exchange(base, request_line + b"\r\nHost: x\r\n\r\n").read()
+    assert answer.startswith(expected) or (expected.startswith(b"Error") and expected in answer
+                                           and answer.startswith(b"<!DOCTYPE HTML>"))
