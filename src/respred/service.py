@@ -5,41 +5,39 @@ JSON header (the one encoder the four heads share, per-target specs, shapes,
 block offsets) and raw little-endian float64 weight blocks, so a save/load
 round-trip is bit-identical regardless of platform defaults. The service
 exposes POST /predict, POST /feedback, GET /health and GET /metrics-summary
-over plain HTTP/JSON; a request body over MAX_BODY_BYTES is refused with 413
-before it is read, and one that falls short of its Content-Length for
-READ_TIMEOUT_S gets a 408. The service speaks HTTP/1.1 with keep-alive, one
-thread per open connection, and writes each response, status line and
-headers built as bytes, in one socket write. It reads a request's header
-fields without email.parser (see _Handler.parse_request); a request whose
-framing is ambiguous, with two different Content-Length values, a folded
-header line or whitespace before a colon, gets a 400 and a closed
-connection. A connection closes after an HTTP/1.0 request, a
-Connection: close, any response sent while the request's body is unread,
-or READ_TIMEOUT_S idle between requests (without a response). Feedback is
-appended to a JSONL log, each line marked with whether its task is among
-the last MAX_TRACKED_TASKS predicted by this process, and folded into
-per-target agreement counters; a restarted service replays the log into its
-counters. GET /health names the serving artifact by the SHA-256 of its
-file, its created_at and its config fingerprint.
+over HTTP/1.1 with keep-alive. One asyncio event loop, on one thread, serves
+every connection with a coroutine, so an idle connection costs a socket and a
+coroutine, not a thread. Every answer is JSON, and an error names its field.
+The request head is read under http.client's limits and RFC 9112's framing
+rules (see _Connection._read_head); a body over MAX_BODY_BYTES gets a 413
+before it is read, and one short of its Content-Length for READ_TIMEOUT_S a
+408. Each response leaves in one socket write. A connection closes after a
+request that is not HTTP/1.1, a Connection: close, an error sent while the
+request's body is unread, or READ_TIMEOUT_S without a request head (without a
+response). Feedback is appended to a JSONL log, each line marked with whether
+its task is among the last MAX_TRACKED_TASKS predicted by this process, and
+folded into per-target agreement counters; a restarted service replays the
+log into its counters. GET /health names the serving artifact by the SHA-256
+of its file, its created_at and its config fingerprint.
 """
 
 from __future__ import annotations
 
-import email.utils
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import os
+import socket
 import struct
+import sys
 import threading
 import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from http import HTTPStatus
-from http.client import _MAXHEADERS, _MAXLINE
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -55,7 +53,7 @@ FORMAT_VERSION = 2
 BIND_ENV_VAR = "RESPRED_BIND"
 DEFAULT_BIND = "127.0.0.1:8421"
 MAX_BODY_BYTES = 1 << 20     # a request body is a few hundred bytes
-READ_TIMEOUT_S = 10.0        # socket timeout: a body cut short gets a 408, an idle connection closes
+READ_TIMEOUT_S = 10.0        # a body cut short gets a 408; a connection without a request head closes
 # Predicted ids kept for feedback's known_task, oldest dropped first; each is kept as a
 # 16-byte digest, so the window holds ~15 MB whatever the id length. The window
 # must hold predicts/s x feedback delay; at the synthetic generator's p95 delay (293 h) it
@@ -84,19 +82,14 @@ class FeedbackLogWriteError(RuntimeError):
 
 
 class ValidationError(ValueError):
-    """A request document failed validation; ``field`` names the offender."""
+    """A request failed validation: ``field`` names the offender; ``status`` and ``reason`` the HTTP answer's."""
 
-    def __init__(self, message: str, field_name: Optional[str] = None) -> None:
+    def __init__(self, message: str, field_name: Optional[str] = None, status: int = 400,
+                 reason: Optional[str] = None) -> None:
         super().__init__(message)
         self.field = field_name
-
-
-class BodyTooLargeError(ValidationError):
-    """The declared request body exceeds MAX_BODY_BYTES."""
-
-
-class BodyTimeoutError(ValidationError):
-    """The request body stayed shorter than its Content-Length for READ_TIMEOUT_S."""
+        self.status = status
+        self.reason = reason
 
 
 # --- spec <-> json ----------------------------------------------------------
@@ -496,97 +489,123 @@ class PredictionService:
 
 # --- http layer ---------------------------------------------------------------
 
+MAX_LINE_BYTES = 65_536      # a request or header line, its line ending included (http.client's limit)
+MAX_HEADER_LINES = 100       # header lines, the blank one that ends the section included (http.client's)
 # json.dumps(payload, allow_nan=False) without making an encoder per call
 _JSON = json.JSONEncoder(allow_nan=False)
+_STATUS_LINES = {s.value: f"HTTP/1.1 {s.value} {s.phrase}\r\n".encode() for s in HTTPStatus}
+_SERVER_LINE = b"Server: respred Python/%d.%d.%d\r\n" % sys.version_info[:3]
 
 
 @functools.lru_cache(maxsize=1)
 def _date_line(second: int) -> bytes:
     """The Date header line of the responses sent in that second: formatted once per second."""
+    import email.utils      # here, not at module level: `import respred` does not pay for it
     return f"Date: {email.utils.formatdate(second, usegmt=True)}\r\n".encode()
 
 
-class _Headers(dict):
-    """A request's header fields by lower-cased name; a repeated name keeps its first value."""
+class _Connection:
+    """One client connection: one coroutine reads its requests and answers each in turn.
 
-    def __contains__(self, name: str) -> bool:
-        return dict.__contains__(self, name.lower())
+    A read, of a head or a body, must end by ``deadline``, READ_TIMEOUT_S after it starts. One
+    timer per connection cancels the coroutine once the deadline has passed, and otherwise re-arms
+    itself for it: asyncio.wait_for would cost a task and three more event-loop turns per read.
+    """
 
-    def __getitem__(self, name: str) -> str:
-        return dict.__getitem__(self, name.lower())
+    def __init__(self, service: PredictionService, reader, writer) -> None:
+        self.service, self.reader, self.writer = service, reader, writer
+        self.close_connection = self.expect_continue = self.timed_out = False
+        self.method = self.path = ""
+        self.headers: dict[str, str] = {}     # by lower-cased name; a repeated name keeps its first value
+        self.deadline = 0.0                   # on time.monotonic's clock
 
-    def get(self, name: str, default=None):
-        return dict.get(self, name.lower(), default)
+    async def serve(self) -> None:
+        """Answer requests until the connection is to close, the client closes it, or a read times out."""
+        import asyncio      # here, not at module level: `import respred` does not pay for it
+        loop, task = asyncio.get_running_loop(), asyncio.current_task()
 
+        def watch() -> None:
+            nonlocal timer
+            if time.monotonic() < self.deadline:
+                timer = loop.call_later(self.deadline - time.monotonic(), watch)
+            else:
+                self.timed_out = True
+                task.cancel()
 
-class _Handler(BaseHTTPRequestHandler):
-    service: PredictionService   # set by make_server
-    # HTTP/1.1: a connection stays open for the client's next request, unless the
-    # client is HTTP/1.0 or sends Connection: close
-    protocol_version = "HTTP/1.1"
-    # applied to the connection's socket by StreamRequestHandler.setup: a body cut short
-    # gets a 408, and a connection idle between requests is closed without a response
-    timeout = READ_TIMEOUT_S
-    _server_header = (f"Server: {BaseHTTPRequestHandler.server_version} "
-                      f"{BaseHTTPRequestHandler.sys_version}\r\n").encode()
+        timer = loop.call_later(READ_TIMEOUT_S, watch)
+        try:
+            while not self.close_connection:
+                self.deadline = time.monotonic() + READ_TIMEOUT_S
+                try:
+                    if not await self._read_head():
+                        return      # closed by the client between requests
+                    self._send(*await self._respond())
+                except ValidationError as exc:
+                    self._send(exc.status, {"error": str(exc), "field": exc.field}, exc.reason)
+                except (NotServableError, FeedbackLogWriteError) as exc:
+                    self._send(503, {"error": str(exc), "field": None})
+                except OSError:
+                    raise           # the connection failed: no answer would reach the client
+                except Exception as exc:  # pragma: no cover - defensive
+                    self._send(500, {"error": f"internal error: {exc}", "field": None})
+                await self.writer.drain()      # a client that reads no responses stops being read
+        except (asyncio.CancelledError, OSError):
+            # a read timed out, the server is stopping or the client reset: closed without a response.
+            # The coroutine tops its task, which ends normally: start_server in Python 3.11 logs a
+            # cancelled one as an error
+            pass
+        finally:
+            timer.cancel()
+            self.writer.close()
+            with contextlib.suppress(OSError, asyncio.CancelledError):
+                await self.writer.wait_closed()
 
-    def parse_request(self) -> bool:
-        """BaseHTTPRequestHandler.parse_request, with the header fields read without email.parser.
+    async def _read_head(self) -> bool:
+        """Read a request line and header section; False if the client closed the connection first.
 
-        The request line, the HTTP/0.9 and HTTP/1.0 rules, the Connection and
-        Expect handling and http.client's limits (a line over 65,536 bytes or
-        over 100 lines, the blank one included, is a 431) are the stdlib's.
-        The fields go into a _Headers. RFC 9112 makes a request whose framing
-        is ambiguous a 400, sent once the header section is read: two
-        different Content-Length values (the 400 names Content-Length),
-        a line folded onto the one before it (obs-fold), whitespace between a
-        name and its colon, and a line with no name or no colon.
+        Empty lines before the request line are skipped (RFC 9112 2.2). http.client's limits are
+        answered as soon as one is passed: a request line over MAX_LINE_BYTES is a 414, a longer
+        header line or more than MAX_HEADER_LINES lines a 431. A request whose framing RFC 9112
+        calls ambiguous is a 400 once its head is read: two different Content-Length values, a
+        line folded onto the one before (obs-fold), whitespace between a name and its colon, or a
+        line with no name or no colon. Each error closes the connection.
         """
-        self.command = None
-        self.request_version = self.default_request_version
         self.close_connection = True
-        self.requestline = requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        try:
+            line = b"\r\n"
+            while line in (b"\r\n", b"\n"):
+                line = await self.reader.readline()
+        except ValueError:      # over the reader's limit
+            raise ValidationError(f"request line over {MAX_LINE_BYTES} bytes", "request line", status=414) from None
+        if not line:
+            return False
+        requestline = line.decode("iso-8859-1").rstrip("\r\n")
         words = requestline.split()
-        if not words:
-            return False
-        if len(words) >= 3:
-            version = words[-1]
-            major, dot, minor = version[5:].partition(".")
-            # isdecimal: in latin-1, only 0-9; stdlib's isdigit passes superscripts that int() refuses
-            if not (version.startswith("HTTP/") and dot and major.isdecimal() and minor.isdecimal()
-                    and len(major) <= 10 and len(minor) <= 10):
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})")
-                return False
-            number = int(major), int(minor)
-            if number >= (2, 0):
-                self.send_error(HTTPStatus.HTTP_VERSION_NOT_SUPPORTED, f"Invalid HTTP version ({version[5:]})")
-                return False
-            self.close_connection = number < (1, 1)
-            self.request_version = version
-        if not 2 <= len(words) <= 3:
-            self.send_error(HTTPStatus.BAD_REQUEST, f"Bad request syntax ({requestline!r})")
-            return False
-        command, path = words[:2]
-        if len(words) == 2:
-            self.close_connection = True
-            if command != "GET":
-                self.send_error(HTTPStatus.BAD_REQUEST, f"Bad HTTP/0.9 request type ({command!r})")
-                return False
+        if len(words) != 3:
+            raise ValidationError(f"request line {requestline!r} is not method, path and HTTP version", "request line")
+        self.method, path, version = words
+        major, dot, minor = version[5:].partition(".")
+        # isdecimal: in latin-1, only 0-9; isdigit passes superscripts that int() refuses
+        if not (version.startswith("HTTP/") and dot and major.isdecimal() and minor.isdecimal()
+                and len(major) <= 10 and len(minor) <= 10):
+            raise ValidationError(f"bad HTTP version {version!r}", "HTTP version")
+        number = int(major), int(minor)
+        if number >= (2, 0):
+            raise ValidationError(f"HTTP version {version[5:]} is not supported", "HTTP version", status=505)
         # a path that opens with // would read as a host to a client that follows it
-        self.command, self.path = command, "/" + path.lstrip("/") if path.startswith("//") else path
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
 
-        self.headers = headers = _Headers()
+        self.headers = headers = {}
         problem: Optional[tuple[str, Optional[str]]] = None     # (error, field) of the first bad line
-        for count in range(1, _MAXHEADERS + 2):
-            line = self.rfile.readline(_MAXLINE + 1)
-            if len(line) > _MAXLINE:
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long",
-                                f"got more than {_MAXLINE} bytes when reading header line")
-                return False
-            if count > _MAXHEADERS:
-                self.send_error(HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers",
-                                f"got more than {_MAXHEADERS} headers")
-                return False
+        for count in range(1, MAX_HEADER_LINES + 2):
+            try:
+                line = await self.reader.readline()
+            except ValueError:
+                raise ValidationError(f"header line longer than {MAX_LINE_BYTES} bytes", "header section",
+                                      status=431, reason="Line too long") from None
+            if count > MAX_HEADER_LINES:
+                raise ValidationError(f"more than {MAX_HEADER_LINES} header lines", "header section",
+                                      status=431, reason="Too many headers")
             if line in (b"\r\n", b"\n", b""):
                 break
             if problem is not None:
@@ -600,66 +619,65 @@ class _Handler(BaseHTTPRequestHandler):
                            name.strip() if colon and name.strip() else None)
             else:
                 key, value = name.lower(), value.strip(" \t")
-                first = dict.setdefault(headers, key, value)
+                first = headers.setdefault(key, value)
                 if key == "content-length" and first != value:
                     problem = (f"conflicting Content-Length values {first!r} and {value!r}", "Content-Length")
         if problem is not None:
-            self.close_connection = True
-            self._send(400, {"error": problem[0], "field": problem[1]})
-            return False
-
-        connection = headers.get("connection", "").lower()
-        if connection == "close":
-            self.close_connection = True
-        elif connection == "keep-alive":
-            self.close_connection = False
-        if headers.get("expect", "").lower() == "100-continue" and self.request_version >= "HTTP/1.1":
-            return self.handle_expect_100()
+            raise ValidationError(*problem)
+        # only an HTTP/1.1 connection stays open for a next request, unless its client says close
+        self.close_connection = version != "HTTP/1.1" or headers.get("connection", "").lower() == "close"
+        self.expect_continue = number >= (1, 1) and headers.get("expect", "").lower() == "100-continue"
         return True
 
-    def _send(self, code: int, payload: dict) -> None:
-        body = _JSON.encode(payload).encode("utf-8")
-        if self.request_version == "HTTP/0.9":     # no status line and no headers
-            self.wfile.write(body)
-            return
-        if self.request_version != "HTTP/1.1":
-            self.close_connection = True
-        # status line, headers and body leave in one socket write: a second write would
-        # wait, by Nagle's algorithm, for the client's delayed ACK of the first (about 40 ms)
-        self.wfile.write(b"".join((
-            f"{self.protocol_version} {code} {self.responses[code][0]}\r\n".encode(),
-            self._server_header,
-            _date_line(int(time.time())),
-            b"Content-Type: application/json; charset=utf-8\r\nContent-Length: %d\r\n" % len(body),
-            b"Connection: close\r\n\r\n" if self.close_connection else b"\r\n",
-            body,
-        )))
+    async def _respond(self) -> tuple[int, dict]:
+        """The status and document that answer the request whose head was just read."""
+        if self.method == "POST":
+            doc = await self._read_json()
+            if self.path in ("/predict", "/feedback"):
+                return 200, (self.service.predict if self.path == "/predict" else self.service.feedback)(doc)
+        elif "transfer-encoding" in self.headers or self.headers.get("content-length", "0").strip() != "0":
+            self.close_connection = True     # a body that is never read
+        if self.method == "GET" and self.path == "/health":
+            artifact = self.service.artifact
+            if artifact is None:
+                return 503, {"status": "no artifact"}
+            return 200, {"status": "ok", "sha256": artifact.sha256, "created_at": artifact.created_at,
+                         "config_fingerprint": artifact.config_fingerprint}
+        if self.method == "GET" and self.path == "/metrics-summary":
+            return 200, self.service.metrics_summary()
+        # a HEAD client would read the body as the next response
+        self.close_connection |= self.method not in ("GET", "POST")
+        raise ValidationError(f"no route for {self.method} {self.path}", "request line", status=404)
 
-    def _read_json(self) -> dict:
+    async def _read_json(self) -> dict:
+        from asyncio import CancelledError
         # an error sent before the whole body is read closes the connection: the unread
         # bytes would otherwise be parsed as the next request
         close_after_body, self.close_connection = self.close_connection, True
-        if "Transfer-Encoding" in self.headers:
+        if "transfer-encoding" in self.headers:
             raise ValidationError("Transfer-Encoding is not supported; send a Content-Length",
                                   field_name="Transfer-Encoding")
-        declared = self.headers.get("Content-Length", "0").strip()
+        declared = self.headers.get("content-length", "0").strip()
         if not (declared.isascii() and declared.isdigit()):
-            raise ValidationError(
-                f"Content-Length must be a non-negative integer, got {declared!r}",
-                field_name="Content-Length",
-            )
+            raise ValidationError(f"Content-Length must be a non-negative integer, got {declared!r}",
+                                  field_name="Content-Length")
         length = int(declared)
         if length > MAX_BODY_BYTES:
-            raise BodyTooLargeError(
-                f"request body of {length} bytes exceeds {MAX_BODY_BYTES}", field_name="Content-Length"
-            )
+            raise ValidationError(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                                  field_name="Content-Length", status=413)
+        if self.expect_continue:
+            self.writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.deadline = time.monotonic() + READ_TIMEOUT_S
         try:
-            raw = self.rfile.read(length)
-        except TimeoutError:
-            raise BodyTimeoutError(
-                f"request body shorter than its Content-Length of {length} bytes after {self.timeout} s",
-                field_name="Content-Length",
-            ) from None
+            raw = await self.reader.readexactly(length)
+        except CancelledError:
+            if not self.timed_out:
+                raise
+            raise ValidationError(f"request body shorter than its Content-Length of {length} bytes after "
+                                  f"{READ_TIMEOUT_S} s", field_name="Content-Length", status=408) from None
+        except EOFError as exc:     # asyncio.IncompleteReadError
+            raise ValidationError(f"connection closed after {len(exc.partial)} of the body's {length} bytes",
+                                  field_name="Content-Length") from None
         self.close_connection = close_after_body
         try:
             doc = json.loads(raw.decode("utf-8"))
@@ -669,44 +687,55 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValidationError("request body must be a JSON object")
         return doc
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        if "Transfer-Encoding" in self.headers or self.headers.get("Content-Length", "0").strip() != "0":
-            self.close_connection = True     # a GET's body is never read
-        if self.path == "/health":
-            artifact = self.service.artifact
-            if artifact is None:
-                self._send(503, {"status": "no artifact"})
-            else:
-                self._send(200, {"status": "ok", "sha256": artifact.sha256,
-                                 "created_at": artifact.created_at,
-                                 "config_fingerprint": artifact.config_fingerprint})
-        elif self.path == "/metrics-summary":
-            self._send(200, self.service.metrics_summary())
-        else:
-            self._send(404, {"error": f"unknown path {self.path}"})
+    def _send(self, code: int, payload: dict, reason: Optional[str] = None) -> None:
+        body = _JSON.encode(payload).encode("utf-8")
+        # status line, headers and body leave in one write, so in one send call
+        self.writer.write(b"".join((
+            _STATUS_LINES[code] if reason is None else b"HTTP/1.1 %d %s\r\n" % (code, reason.encode()),
+            _SERVER_LINE, _date_line(int(time.time())),
+            b"Content-Type: application/json; charset=utf-8\r\nContent-Length: %d\r\n" % len(body),
+            b"Connection: close\r\n\r\n" if self.close_connection else b"\r\n", body)))
 
-    def do_POST(self) -> None:  # noqa: N802
+
+class Server:
+    """The HTTP front end: one asyncio event loop serves every connection, one coroutine each.
+
+    The socket is bound when the server is made, so ``server_address`` holds its port.
+    ``serve_forever`` runs the loop on the calling thread until ``shutdown``, called from any
+    thread, which returns once the loop has stopped and closed the socket and every connection.
+    """
+
+    def __init__(self, service: PredictionService, address: tuple[str, int]) -> None:
+        self.service = service
+        self.socket = socket.create_server(address)
+        self.server_address = self.socket.getsockname()
+        self._shutdown_request, self._stopped = threading.Event(), threading.Event()
+
+    def serve_forever(self) -> None:
+        import asyncio
         try:
-            doc = self._read_json()
-            if self.path == "/predict":
-                self._send(200, self.service.predict(doc))
-            elif self.path == "/feedback":
-                self._send(200, self.service.feedback(doc))
-            else:
-                self._send(404, {"error": f"unknown path {self.path}"})
-        except BodyTooLargeError as exc:
-            self._send(413, {"error": str(exc), "field": exc.field})
-        except BodyTimeoutError as exc:
-            self._send(408, {"error": str(exc), "field": exc.field})
-        except ValidationError as exc:
-            self._send(400, {"error": str(exc), "field": exc.field})
-        except (NotServableError, FeedbackLogWriteError) as exc:
-            self._send(503, {"error": str(exc)})
-        except Exception as exc:  # pragma: no cover - defensive
-            self._send(500, {"error": f"internal error: {exc}"})
+            asyncio.run(self._serve())
+        finally:
+            self._stopped.set()
 
-    def log_message(self, fmt: str, *args) -> None:
-        pass  # quiet by default; the CLI reports the bind address
+    async def _serve(self) -> None:
+        import asyncio
+        server = await asyncio.start_server(
+            lambda reader, writer: _Connection(self.service, reader, writer).serve(),
+            sock=self.socket, limit=MAX_LINE_BYTES - 1,    # readline's limit leaves out the "\n"
+        )
+        try:
+            while not self._shutdown_request.is_set():      # polled, as socketserver does every 0.5 s
+                await asyncio.sleep(0.05)
+        finally:
+            server.close()      # asyncio.run then cancels each connection's coroutine, which closes it
+
+    def shutdown(self) -> None:
+        self._shutdown_request.set()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        self.socket.close()
 
 
 def parse_bind(bind: Optional[str] = None) -> tuple[str, int]:
@@ -717,11 +746,9 @@ def parse_bind(bind: Optional[str] = None) -> tuple[str, int]:
     return host, int(port)
 
 
-def make_server(service: PredictionService, bind: Optional[str] = None) -> ThreadingHTTPServer:
+def make_server(service: PredictionService, bind: Optional[str] = None) -> Server:
     """HTTP server bound per the argument or the RESPRED_BIND env var."""
-    host, port = parse_bind(bind)
-    handler = type("Handler", (_Handler,), {"service": service})
-    return ThreadingHTTPServer((host, port), handler)
+    return Server(service, parse_bind(bind))
 
 
 def serve_forever(service: PredictionService, bind: Optional[str] = None) -> None:

@@ -804,7 +804,7 @@ def test_http_body_at_cap_is_read(server):
 
 def test_http_short_body_is_408_and_closes(server, monkeypatch):
     # the client's own timeout fails the test if the server never answers or never closes
-    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)
     base, _, _ = server
     url = urllib.parse.urlsplit(base)
     with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
@@ -947,16 +947,20 @@ def test_http_1_0_and_connection_close_clients_get_a_close(server, request_head)
     assert stream.read() == b""
 
 
-def test_http_0_9_request_gets_the_bare_body(server):
+def test_http_request_line_without_a_version_is_a_json_400(server):
+    # HTTP/0.9 is not served: a JSON POST API has no HTTP/0.9 client
     base, _, _ = server
     with connect(base) as sock:
         sock.sendall(b"GET /health\r\n\r\n")
-        raw = read_until_closed(sock)
-    assert json.loads(raw)["status"] == "ok"
+        stream = io.BytesIO(read_until_closed(sock))
+    status, headers, body = read_response(stream)
+    assert (status, headers["connection"]) == (400, "close")
+    assert json.loads(body)["field"] == "request line"
+    assert stream.read() == b""
 
 
 def test_http_idle_keep_alive_connection_closes_without_a_response(server, monkeypatch):
-    monkeypatch.setattr(service._Handler, "timeout", 0.2)
+    monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)
     base, _, _ = server
     with connect(base) as sock, sock.makefile("rb") as stream:
         sock.sendall(request_bytes("GET", "/health"))
@@ -1110,18 +1114,214 @@ def test_http_more_than_100_header_lines_are_431(server, n_headers, expected):
         assert status_line.rstrip().endswith(b"Too many headers")
 
 
-@pytest.mark.parametrize("request_line, expected", [
-    # an error before the version is known is a bare HTML page: no status line and no headers
-    (b"POST /predict", b"Error code: 400"),     # HTTP/0.9 knows only GET
-    (b"GET /health HTTP/1.x", b"Error code: 400"),
-    (b"GET /health HTTP/1.1.1", b"Error code: 400"),
-    (b"GET /health HTTP/\xb2.0", b"Error code: 400"),
-    (b"GET /health HTTP/2.0", b"Error code: 505"),
-    (b"GET /health HTTP/1.1 extra", b"Error code: 400"),
-    (b"GET //health HTTP/1.0", b"HTTP/1.1 200 OK\r\n"),    # a leading // reads as one /
+@pytest.mark.parametrize("request_line, status, field", [
+    (b"POST /predict", 400, "request line"),              # no version
+    (b"/health HTTP/1.1", 400, "request line"),           # no method
+    (b"GET /health HTTP/1.1 extra", 400, "request line"),
+    (b"GET /health HTTP/1.x", 400, "HTTP version"),
+    (b"GET /health HTTP/1.1.1", 400, "HTTP version"),
+    (b"GET /health HTTP/\xb2.0", 400, "HTTP version"),
+    (b"GET /health HTTP/2.0", 505, "HTTP version"),
+    (b"GET //health HTTP/1.0", 200, None),                # a leading // reads as one /
 ])
-def test_http_request_line_answers_are_the_stdlibs(server, request_line, expected):
+def test_http_request_line_answers_are_json(server, request_line, status, field):
     base, _, _ = server
-    answer = exchange(base, request_line + b"\r\nHost: x\r\n\r\n").read()
-    assert answer.startswith(expected) or (expected.startswith(b"Error") and expected in answer
-                                           and answer.startswith(b"<!DOCTYPE HTML>"))
+    stream = exchange(base, request_line + b"\r\nHost: x\r\n\r\n")
+    got, headers, body = read_response(stream)
+    assert (got, headers["connection"]) == (status, "close")
+    assert json.loads(body).get("field") == field
+    assert stream.read() == b""
+
+
+def test_http_a_request_line_over_65536_bytes_is_a_json_414(server):
+    base, _, _ = server
+    stream = exchange(base, b"GET /" + b"a" * 65_536 + b" HTTP/1.1\r\nHost: x\r\n\r\n")
+    status, headers, body = read_response(stream)
+    assert (status, headers["connection"]) == (414, "close")
+    assert json.loads(body)["field"] == "request line"
+
+
+# --- one event loop
+
+def test_http_idle_keep_alive_connections_hold_no_threads(server):
+    base, _, _ = server
+    before = threading.active_count()
+    idle = []
+    try:
+        for _ in range(32):
+            idle.append(connect(base))
+            idle[-1].sendall(request_bytes("GET", "/health"))
+        for sock in idle:
+            with sock.makefile("rb") as stream:
+                assert read_response(stream)[0] == 200
+        assert threading.active_count() == before
+        started = time.perf_counter()
+        assert http_json(base + "/health")[0] == 200
+        assert time.perf_counter() - started < 1.0
+        assert threading.active_count() == before
+    finally:
+        for sock in idle:
+            sock.close()
+
+
+def test_http_expect_100_continue_gets_an_interim_100_then_the_answer(server):
+    base, svc, synth = server
+    doc = sample_request(synth.dataset.records[0])
+    body = json.dumps(doc).encode()
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        sock.sendall(f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n"
+                     "Expect: 100-continue\r\n\r\n".encode())
+        assert stream.readline() == b"HTTP/1.1 100 Continue\r\n"
+        assert stream.readline() == b"\r\n"
+        sock.sendall(body)
+        status, headers, answer = read_response(stream)
+        assert status == 200 and headers.get("connection") != "close"
+        via_http, in_process = json.loads(answer), svc.predict(doc)
+        via_http.pop("inference_seconds")
+        in_process.pop("inference_seconds")
+        assert via_http == in_process
+        sock.sendall(request_bytes("GET", "/health"))     # the connection stays usable
+        assert read_response(stream)[0] == 200
+
+
+def test_http_expect_100_continue_gets_no_100_before_a_413(server):
+    base, _, _ = server
+    stream = exchange(base, f"POST /predict HTTP/1.1\r\nHost: x\r\nContent-Length: {MAX_BODY_BYTES + 1}\r\n"
+                            "Expect: 100-continue\r\n\r\n".encode())
+    status, headers, body = read_response(stream)
+    assert (status, headers["connection"]) == (413, "close")
+    assert json.loads(body)["field"] == "Content-Length"
+
+
+# --- seeded property test: mutated requests against one server
+
+ANSWER_STATUSES = {200, 400, 404, 408, 413, 414, 431, 503, 505}
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _base_request(rng, synth, predicted):
+    """A valid request as a mutable dict: method, path, version, header lines, body, length."""
+    path = rng.choice(["/predict", "/predict", "/feedback", "/feedback", "/health", "/metrics-summary"])
+    i = rng.randrange(len(synth.dataset.records))
+    body = b""
+    if path == "/predict":
+        body = json.dumps(sample_request(synth.dataset.records[i])).encode()
+    elif path == "/feedback":
+        body = json.dumps({"task_id": rng.choice(predicted) if predicted and rng.random() < 0.7 else f"never-{i}",
+                           "predicted_classes": {t: rng.randrange(3) for t in TARGETS},
+                           "actual_targets": actual_targets_for(synth, i)}).encode()
+    return {"method": "POST" if body else "GET", "path": path, "version": "HTTP/1.1", "headers": ["Host: x"],
+            "body": body, "length": None}
+
+
+def _mutate_doc(rng, req):
+    """A field of a JSON body, or of its predicted_classes or actual_targets, changed or dropped."""
+    try:
+        doc = json.loads(req["body"])
+    except ValueError:
+        return
+    target = doc
+    if isinstance(doc, dict) and "predicted_classes" in doc and rng.random() < 0.6:
+        target = doc[rng.choice(["predicted_classes", "actual_targets"])]
+    if not (isinstance(target, dict) and target):
+        return
+    key = rng.choice(sorted(target))
+    if rng.random() < 0.2:
+        del target[key]
+    else:
+        target[key] = rng.choice([None, "", "x", "7", -1, 0, 1.5, 2, 10**30, True, [], {}, float("nan"),
+                                  float("inf"), -1e308])
+    req["body"] = json.dumps(doc).encode()
+
+
+MUTATIONS = [
+    lambda rng, req: req.update(method=rng.choice(["GET", "POST", "PUT", "HEAD", "get", ""])),
+    lambda rng, req: req.update(path=rng.choice(["/predict", "/feedback", "/health", "/metrics-summary",
+                                                 "/nope", "//feedback", "/predict?x=1", "", "/" + "a" * 65_536])),
+    lambda rng, req: req.update(version=rng.choice(["HTTP/1.0", "HTTP/1.x", "HTTP/2.0", "HTTP/1.1.1", "",
+                                                    "HTTP/1.1 extra", "HTTP/\xb2.0", "HTTP/0.9", "HTTP/3"])),
+    lambda rng, req: req.update(length=rng.choice([
+        str(len(req["body"]) + 7), str(max(len(req["body"]) - 5, 0)), "abc", "-1", "", str(MAX_BODY_BYTES + 1)])),
+    lambda rng, req: req["headers"].append(rng.choice([
+        "Transfer-Encoding: chunked", "Content-Length: 999", " folded", "X-Bad : 1", "no colon",
+        "Connection: close", "Expect: 100-continue", "Connection: keep-alive", "X-Long: " + "a" * 65_536,
+        "\r\n".join(f"X-{k}: 1" for k in range(101))])),
+    _mutate_doc,
+    _mutate_doc,        # drawn twice as often: a bad field is the commonest client error
+    lambda rng, req: req.update(body=rng.choice([
+        req["body"][:rng.randrange(len(req["body"]) + 1)], b"[1, 2]", b"\xff\xfe{}", b"", b'{"NCORE": NaN}'])),
+]
+
+
+def _raw_request(req):
+    head = [f"{req['method']} {req['path']} {req['version']}".strip(), *req["headers"]]
+    if req["length"] is not None or req["method"] == "POST":
+        head.append(f"Content-Length: {req['length'] if req['length'] is not None else len(req['body'])}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + req["body"]
+
+
+def _one_answer(base, raw):
+    """(status, document) of the final answer to raw request bytes; a 100 Continue is skipped."""
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        sock.sendall(raw)
+        while True:
+            answer = read_response(stream)
+            assert answer is not None, f"no answer to {raw[:200]!r}"
+            status, headers, body = answer
+            if status != 100:
+                return status, json.loads(body, parse_constant=_refuse_constant)
+
+
+def test_http_seeded_mutated_requests_keep_the_answer_and_feedback_contracts(models, tmp_path, monkeypatch):
+    import random
+
+    monkeypatch.setattr(service, "READ_TIMEOUT_S", 0.2)     # a body cut short answers in 0.2 s
+    models, synth = models
+    log, aside = tmp_path / "fb.jsonl", tmp_path / "fb.aside"
+    svc = PredictionService(ModelArtifact(models=models, created_at="", config_fingerprint=""), feedback_log=log)
+    httpd = make_server(svc, "127.0.0.1:0")
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    base = "http://%s:%d" % httpd.server_address[:2]
+    rng, predicted, faulty, seen = random.Random(26), [], False, set()
+
+    def logged():
+        return (aside if faulty else log).read_bytes() if faulty or log.exists() else b""
+
+    try:
+        for n in range(400):
+            if n % 60 == 40:      # the log becomes a directory for 10 requests: every append fails
+                log.touch()
+                log.rename(aside)
+                log.mkdir()
+                faulty = True
+            elif faulty and n % 60 == 50:
+                log.rmdir()
+                aside.rename(log)
+                faulty = False
+            req = _base_request(rng, synth, predicted)
+            for mutate in rng.sample(MUTATIONS, rng.choice([0, 1, 1, 2])):
+                mutate(rng, req)
+            counters, before = svc.metrics_summary(), logged()
+            status, doc = _one_answer(base, _raw_request(req))
+            assert status in ANSWER_STATUSES, (status, doc, req)
+            assert isinstance(doc, dict)
+            seen.add(status)
+            after = logged()
+            routed = "/" + req["path"].lstrip("/") if req["path"].startswith("//") else req["path"]
+            if status == 200 and req["method"] == "POST" and routed == "/feedback":
+                assert svc.metrics_summary()["n_records"] == counters["n_records"] + 1
+                assert after.startswith(before) and after[len(before):].count(b"\n") == 1
+            else:
+                assert svc.metrics_summary() == counters, req
+                assert after == before, req
+            if status == 200 and routed == "/predict" and doc.get("task_id"):
+                predicted.append(doc["task_id"])
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+    assert {200, 400, 404, 408, 414, 431, 503, 505}.issubset(seen)
+    assert PredictionService(None, feedback_log=log).metrics_summary() == svc.metrics_summary()
