@@ -221,7 +221,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     artifact = service.load_artifact(args.artifact)
     if args.features:
         try:
-            doc = json.loads(args.features)
+            doc = service._json_loads(args.features)
         except ValueError:
             doc = None
         if not isinstance(doc, dict):

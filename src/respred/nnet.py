@@ -20,40 +20,40 @@ first, so a float32 network infers exactly what it serves once widened.
 ``pipeline`` trains its heads that way; a Network is built in float64.
 
 Inference has one arithmetic, one kernel and no dropout. The kernel runs a
-stack of heads that share their categorical features and layer widths
-(_Stack): each hidden layer's batch normalization, an affine map under the
-running statistics, is folded into its dense weights and bias, and the H
-heads' folded layers are stacked into (H, in, out) weights, (H, 1, out)
-biases and (H, vocab, dim) embedding tables, so a layer of all H heads is
-one batched matmul, one add and one ReLU. The output layer is padded to
-the widest head with -inf biases, and a binary head's logit z becomes the
-pair (0, z), so one softmax serves every head. ``predict`` runs the four
-heads of a model set as one stack: the set's stacks are made on its first
-predict and kept on its models (``TargetModel.stacked``, see
-_model_stacks), so a model's params and running statistics must not change
-in place after its first predict. ``forward``'s inference mode and the
+stack of heads that share one encoder and one layer shape (_Stack): each
+hidden layer's batch normalization, an affine map under the running
+statistics, is folded into its dense weights and bias, and the H heads'
+folded layers are stacked into (H, in, out) weights, (H, 1, out) biases
+and (H, vocab, dim) embedding tables, so a layer of all H heads is one
+batched matmul, one add and one ReLU. The output layer is padded to the
+widest head with -inf biases, and a binary head's logit z becomes the pair
+(0, z), so one softmax serves every head. A model set is one stack, made
+on its first predict and kept on its models (``TargetModel.stacked``, see
+_model_stack), so a model's params and running statistics must not change
+in place after its first predict; heads of another encoder or other layer
+widths are refused (check_one_stack). ``forward``'s inference mode and the
 per-epoch validation forward are the one-head case, stacked afresh on
-every call. A block is INFERENCE_BLOCK_ROWS // H rows of all H heads, so a
-batch of more rows runs as consecutive blocks, each a view of the batch,
-that share one set of activation arrays and write their probabilities into
-one output array: such a pass holds the output and one block's
-activations, as much as INFERENCE_BLOCK_ROWS rows of one head, whatever
-the row count. Inference never touches the network's workspace, so
+every call. A block is INFERENCE_BLOCK_ROWS // H rows of all H heads; the
+blocks, each a view of the batch, write their activations into one
+scratch store and their probabilities into one output array, so a pass
+holds the output and a full and a last block's activations, whatever the
+row count. Inference never touches the network's workspace, so
 concurrent predictions on one network are safe.
 
 ``_forward_cached`` is the unfolded pass: dense layer, batch normalization,
 ReLU and, in train mode, dropout mask, over the whole batch. It backs train
 mode, whose batch statistics need the whole batch, and ``loss_and_grads`` in
 both modes, whose backward loop mirrors it; it is also the reference the
-folded arithmetic is tested against. Train mode allocates no activation-sized
-arrays: each Network keeps a workspace of scratch buffers keyed by (name,
-shape), so the full batches and the last short batch of an epoch each get
-their own set; the dropout masks, activations, gates, input gradients and
-dense weight gradients are written into it with ``out=``, and ``train``
-empties it when it returns. Arrays that train mode hands back (masks,
-gradients, cache) are views of that workspace and hold only until the next
-train-mode call on the same network. The inference mode of the unfolded
-pass allocates.
+folded arithmetic is tested against. Every pass reads its input rows with
+one gather (_gather) into a scratch store, a dict of arrays keyed by (name,
+shape) (_buffer). Train mode's store is the network's workspace, so the
+full batches and the last short batch of an epoch each get their own set
+and a step allocates no activation-sized arrays: its masks, activations,
+gates, input gradients and dense weight gradients are written into it with
+``out=``, and ``train`` empties it when it returns. Arrays that train mode
+hands back (masks, gradients, cache) are views of that workspace and hold
+only until the next train-mode call on the same network. The inference
+mode of the unfolded pass allocates a store of its own.
 
 Train mode leaves the dense bias out: batch normalization subtracts the
 batch mean, which cancels any per-unit bias exactly, so ``z = x @ W`` and the
@@ -65,10 +65,11 @@ rather than rounding noise that Adam would turn into bias drift.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Sequence
+from typing import Callable, ClassVar, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -186,10 +187,6 @@ class Network:
         for k in self.running:
             self.running[k] = state[f"running/{k}"].copy()
 
-    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
-        """The workspace array for (name, shape) in the params' dtype; its contents are left over."""
-        return _buffer(self.workspace, name, shape, self.dtype)
-
 
 def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """The array for (name, shape) in store, made on first use; its contents are left over."""
@@ -200,6 +197,11 @@ def _buffer(store: dict, name: str, shape: tuple[int, ...], dtype=np.float64) ->
     return buf
 
 
+def _buffers(net: Network, train: bool) -> Callable[[str, tuple[int, ...]], np.ndarray]:
+    """An unfolded pass's buffer store, in the params' dtype: the workspace in train mode, a new dict otherwise."""
+    return functools.partial(_buffer, net.workspace if train else {}, dtype=net.dtype)
+
+
 def make_dropout_masks(
     net: Network, n_rows: int, rates: Sequence[float], rng: np.random.Generator
 ) -> list[np.ndarray]:
@@ -208,7 +210,7 @@ def make_dropout_masks(
     One uniform draw covers every layer. The masks are views into the
     network's workspace, overwritten by its next draw for the same row count.
     """
-    draws = net.buffer("masks", (n_rows, sum(net.hidden)))
+    draws = _buffer(net.workspace, "masks", (n_rows, sum(net.hidden)), net.dtype)
     rng.random(out=draws, dtype=draws.dtype)
     masks = []
     start = 0
@@ -222,20 +224,30 @@ def make_dropout_masks(
     return masks
 
 
-def _concat_inputs(net: Network, batch: EncodedBatch, out: Optional[np.ndarray] = None) -> np.ndarray:
-    segments = []
-    for name, vocab, _dim in net.cat_features:
+def _gather(
+    cat_features: tuple[tuple[str, int, int], ...],
+    tables: Sequence[np.ndarray],
+    batch: EncodedBatch,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write a batch's input rows into out, (rows, width) or (H, rows, width), and return it.
+
+    The embeddings, from (vocab, dim) or (H, vocab, dim) tables, come first, then the numeric columns.
+    """
+    col = 0
+    for (name, vocab, dim), table in zip(cat_features, tables):
         try:
-            segments.append(net.params[f"emb:{name}"][batch.categorical_indices[name]])
+            np.take(table, batch.categorical_indices[name], axis=-2, out=out[..., col:col + dim])
         except IndexError:
             raise ValueError(f"{name}: index exceeds vocabulary size {vocab}") from None
-    segments.append(batch.numeric_matrix)
-    width = sum(s.shape[1] for s in segments)
-    if width != net.input_width:
+        col += dim
+    numeric = batch.numeric_matrix
+    if col + numeric.shape[1] != out.shape[-1]:
         raise ValueError(
-            f"encoded width {width} does not match network input width {net.input_width}"
+            f"encoded width {col + numeric.shape[1]} does not match network input width {out.shape[-1]}"
         )
-    return np.concatenate(segments, axis=1, out=out)
+    out[..., col:] = numeric
+    return out
 
 
 def _check_call(net: Network, n_rows: int, mode: str, dropout_masks: Optional[list[np.ndarray]]) -> None:
@@ -266,15 +278,17 @@ def _forward_cached(
     writes its activations into the network's workspace; inference allocates.
     """
     train = mode == "train"
+    buffer = _buffers(net, train)
     n = batch.row_count
-    x = _concat_inputs(net, batch, out=net.buffer("x0", (n, net.input_width)) if train else None)
+    x = _gather(net.cat_features, [net.params[f"emb:{name}"] for name, _, _ in net.cat_features], batch,
+                buffer("x0", (n, net.input_width)))
     layers = []
     for i, width in enumerate(net.hidden):
         shape = (n, width)
         W = net.params[f"dense{i}:W"]
         gamma, beta = net.params[f"dense{i}:gamma"], net.params[f"dense{i}:beta"]
         # normalized in place: xhat starts as x @ W
-        xhat = np.matmul(x, W, out=net.buffer(f"xhat{i}", shape) if train else None)
+        xhat = np.matmul(x, W, out=buffer(f"xhat{i}", shape))
         if train:
             # the bias is left out: the batch mean cancels it
             mu = xhat.mean(axis=0)
@@ -286,10 +300,10 @@ def _forward_cached(
             xhat -= mu
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std
-        out = np.multiply(xhat, gamma, out=net.buffer(f"out{i}", shape) if train else None)
+        out = np.multiply(xhat, gamma, out=buffer(f"out{i}", shape))
         out += beta
         # ReLU then dropout is one multiplication by the gate, also d(out)/d(a)
-        gate = np.greater(out, 0.0, out=net.buffer(f"gate{i}", shape) if train else None)
+        gate = np.greater(out, 0.0, out=buffer(f"gate{i}", shape))
         if train and dropout_masks is not None:
             gate *= dropout_masks[i]
         out *= gate
@@ -316,7 +330,7 @@ SIGMOID_EXPONENT_LIMIT = {dt: _largest_finite_exponent(dt) for dt in (np.float32
 
 
 def _probabilities(logits: np.ndarray, binary: bool) -> np.ndarray:
-    """Row-wise softmax, written over logits; a binary head's one logit gives [1 - p, p].
+    """Softmax along the last axis, written over logits; a binary head's one logit gives [1 - p, p].
 
     The sigmoid's exponent -logits is bounded where its exp is still finite,
     so exp never overflows and every exponent below the bound keeps its p;
@@ -327,9 +341,9 @@ def _probabilities(logits: np.ndarray, binary: bool) -> np.ndarray:
         p = 1.0 / (1.0 + np.exp(exponent, out=exponent))
         return np.concatenate([1.0 - p, p], axis=1)
     # the ufuncs' own reductions: ndarray.max and .sum call them through a Python wrapper
-    logits -= np.maximum.reduce(logits, axis=1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     probs = np.exp(logits, out=logits)
-    probs /= np.add.reduce(probs, axis=1, keepdims=True)
+    probs /= np.add.reduce(probs, axis=-1, keepdims=True)
     return probs
 
 
@@ -454,10 +468,10 @@ def loss_and_grads(
     grads["out:b"] = dlogits.sum(axis=0)
 
     train = mode == "train"
+    buffer = _buffers(net, train)
     hidden = net.hidden
     n_embedded = sum(dim for _name, _vocab, dim in net.cat_features)
-    dx = np.matmul(dlogits, net.params["out:W"].T,
-                   out=net.buffer(f"dx{len(hidden) - 1}", x_last.shape) if train else None)
+    dx = np.matmul(dlogits, net.params["out:W"].T, out=buffer(f"dx{len(hidden) - 1}", x_last.shape))
     for i in reversed(range(len(hidden))):
         layer = cache["layers"][i]
         W = net.params[f"dense{i}:W"]
@@ -472,14 +486,14 @@ def loss_and_grads(
             dbeta = dx.sum(axis=0)
             dz = dx * (gamma * layer["inv_std"])
             db = dz.sum(axis=0)
-        dW = np.matmul(layer["x_in"].T, dz, out=net.buffer(f"dW{i}", W.shape) if train else None)
-        dW += np.multiply(W, cfg.l2_lambda, out=net.buffer("l2W", W.shape) if train else None)
+        dW = np.matmul(layer["x_in"].T, dz, out=buffer(f"dW{i}", W.shape))
+        dW += np.multiply(W, cfg.l2_lambda, out=buffer("l2W", W.shape))
         grads[f"dense{i}:gamma"] = dgamma
         grads[f"dense{i}:beta"] = dbeta
         grads[f"dense{i}:W"] = dW
         grads[f"dense{i}:b"] = db
         if i:
-            dx = np.matmul(dz, W.T, out=net.buffer(f"dx{i - 1}", (n, hidden[i - 1])) if train else None)
+            dx = np.matmul(dz, W.T, out=buffer(f"dx{i - 1}", (n, hidden[i - 1])))
         else:
             dx = dz @ W[:n_embedded].T      # of the input, only the embedding columns need it
 
@@ -678,10 +692,11 @@ def train(
 class TargetModel:
     """One trained head bundled with the specs its inputs were built from.
 
-    The first ``predict`` on a model set folds and stacks its heads (see
-    _model_stacks) and keeps the stacks on its models, so a network's params
-    and running statistics must not be changed in place after that call;
-    build a new TargetModel around a network that changed.
+    The heads of a model set share one encoder and one layer shape. The
+    first ``predict`` on a set folds them into one stack (see _model_stack)
+    and keeps it on its models, so a network's params and running statistics
+    must not be changed in place after that call; build a new TargetModel
+    around a network that changed.
     """
 
     target: str
@@ -689,8 +704,8 @@ class TargetModel:
     encoder: EncoderSpec
     bins: BinSpec
     train_summary: dict = field(default_factory=dict)
-    # (the stacks of the model set this model was first predicted in, its place in that set)
-    stacked: Optional[tuple[_SetStacks, int]] = field(default=None, init=False, repr=False, compare=False)
+    # (the stack of the model set this model was first predicted in, its place in that set)
+    stacked: Optional[tuple[_Stack, int]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.net.input_width != self.encoder.input_width:
@@ -705,9 +720,22 @@ class TargetModel:
             )
 
 
+def check_one_stack(models: Mapping[str, TargetModel]) -> None:
+    """Refuse an empty model set, or one whose heads do not share one encoder and one layer shape."""
+    if not models:
+        raise ValueError("a model set needs at least one head")
+    first_target, first = next(iter(models.items()))
+    shape = (first.encoder, first.net.hidden, first.net.cat_features)
+    for target, model in models.items():
+        net = model.net
+        if (model.encoder, net.hidden, net.cat_features) != shape:
+            raise ValueError(f"{target}: the heads of a model set must share one encoder and one layer shape; "
+                             f"{target}'s encoder or layer widths {net.hidden} differ from {first_target}'s")
+
+
 @dataclass(frozen=True, eq=False)
 class _Stack:
-    """Heads of equal layer widths, folded and stacked for one inference pass.
+    """Heads of one encoder and one layer shape, folded and stacked for one inference pass.
 
     Head h is index h of every array: one (H, vocab, dim) table per
     categorical feature, and per dense layer, the output layer last, a
@@ -719,7 +747,8 @@ class _Stack:
     sits in column 1 beside a zero logit, since the softmax of (0, z) is
     (1 - sigmoid(z), sigmoid(z)); the columns past a head's classes have a
     -inf bias, so their softmax share is exactly 0. Every array is a float64
-    copy: a float32 network computes what it serves once widened.
+    copy: a float32 network computes what it serves once widened. A model
+    set's stack names its heads' targets; ``forward``'s names none.
     """
 
     cat_features: tuple[tuple[str, int, int], ...]
@@ -727,9 +756,10 @@ class _Stack:
     embeddings: tuple[np.ndarray, ...]
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     n_classes: tuple[int, ...]
+    targets: tuple[str, ...] = ()
 
 
-def _stack(nets: Sequence[Network]) -> _Stack:
+def _stack(nets: Sequence[Network], targets: tuple[str, ...] = ()) -> _Stack:
     """The nets' inference layers stacked; they share categorical features and layer widths."""
     params = [{k: v.astype(np.float64, copy=False) for k, v in net.params.items()} for net in nets]
     running = [{k: v.astype(np.float64, copy=False) for k, v in net.running.items()} for net in nets]
@@ -757,16 +787,8 @@ def _stack(nets: Sequence[Network]) -> _Stack:
         embeddings=tuple(np.stack([p[f"emb:{name}"] for p in params]) for name, _, _ in first.cat_features),
         layers=tuple(layers),
         n_classes=tuple(net.n_classes for net in nets),
+        targets=targets,
     )
-
-
-def _scratch(store: dict, name: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A C-contiguous float64 array of shape on store's flat array for name, grown on demand."""
-    size = math.prod(shape)
-    flat = store.get(name)
-    if flat is None or flat.size < size:
-        flat = store[name] = np.empty(size)
-    return flat[:size].reshape(shape)
 
 
 def _stacked_probs(stack: _Stack, batch: EncodedBatch, scratch: dict) -> list[np.ndarray]:
@@ -774,70 +796,39 @@ def _stacked_probs(stack: _Stack, batch: EncodedBatch, scratch: dict) -> list[np
 
     A block is INFERENCE_BLOCK_ROWS // H rows of all H heads, so its
     activations take as much memory as INFERENCE_BLOCK_ROWS rows of one
-    head. A larger batch runs as consecutive blocks, each a view of the
-    batch, that write their activations into ``scratch`` (with fresh arrays,
-    each block's megabytes would go back to the OS and fault in again) and
-    their probabilities into one (H, rows, width) array. A head's result is
-    its view of that array.
+    head. The batch runs as consecutive blocks, each a view of the batch,
+    that write their activations into the arrays of ``scratch`` (with fresh
+    arrays, each block's megabytes would go back to the OS and fault in
+    again) and their probabilities into one (H, rows, width) array. A head's
+    result is its view of that array.
     """
     n_heads, n = len(stack.n_classes), batch.row_count
-    probs = np.empty((n_heads, n, stack.layers[-1][0].shape[2]))
+    *hidden, (W_out, b_out) = stack.layers
+    probs = np.empty((n_heads, n, W_out.shape[2]))
     block_rows = max(1, INFERENCE_BLOCK_ROWS // n_heads)
-    if n <= block_rows:
-        _block_probs(stack, batch, scratch, probs)
-    else:
-        for start in range(0, n, block_rows):
-            rows = slice(start, start + block_rows)
-            _block_probs(stack, batch.take(rows), scratch, probs[:, rows])
+    for start in range(0, n, block_rows):
+        rows = slice(start, start + block_rows)
+        block = batch.take(rows)
+        shape = (n_heads, block.row_count)
+        x = _gather(stack.cat_features, stack.embeddings, block,
+                    _buffer(scratch, "x0", (*shape, stack.input_width)))
+        for i, (W, b) in enumerate(hidden):
+            x = np.matmul(x, W, out=_buffer(scratch, f"out{i}", (*shape, W.shape[2])))
+            x += b
+            np.maximum(x, 0.0, out=x)
+        # into contiguous scratch: a block of the (H, rows, width) result is strided
+        logits = np.matmul(x, W_out, out=_buffer(scratch, "logits", (*shape, W_out.shape[2])))
+        logits += b_out
+        probs[:, rows] = _probabilities(logits, binary=False)     # a padded column is exp(-inf) = 0
     return [probs[h, :, :k] for h, k in enumerate(stack.n_classes)]
 
 
-def _block_probs(stack: _Stack, batch: EncodedBatch, scratch: dict, out: np.ndarray) -> None:
-    """Write one block's probabilities, (H, rows, width), into out."""
-    n_heads, n = len(stack.n_classes), batch.row_count
-    x = _scratch(scratch, "x0", (n_heads, n, stack.input_width))
-    col = 0
-    for (name, vocab, dim), table in zip(stack.cat_features, stack.embeddings):
-        try:
-            np.take(table, batch.categorical_indices[name], axis=1, out=x[:, :, col:col + dim])
-        except IndexError:
-            raise ValueError(f"{name}: index exceeds vocabulary size {vocab}") from None
-        col += dim
-    numeric = batch.numeric_matrix
-    if col + numeric.shape[1] != stack.input_width:
-        raise ValueError(
-            f"encoded width {col + numeric.shape[1]} does not match network input width {stack.input_width}"
-        )
-    x[:, :, col:] = numeric
-    *hidden, (W_out, b_out) = stack.layers
-    for i, (W, b) in enumerate(hidden):
-        x = np.matmul(x, W, out=_scratch(scratch, f"out{i}", (n_heads, n, W.shape[2])))
-        x += b
-        np.maximum(x, 0.0, out=x)
-    # into contiguous scratch: out, a block of the (H, rows, width) result, is strided
-    logits = np.matmul(x, W_out, out=_scratch(scratch, "logits", out.shape))
-    logits += b_out
-    # the softmax of _probabilities, along the last axis; a padded column is exp(-inf) = 0
-    logits -= np.maximum.reduce(logits, axis=2, keepdims=True)
-    np.exp(logits, out=logits)
-    logits /= np.add.reduce(logits, axis=2, keepdims=True)
-    out[...] = logits
+def _model_stack(models: dict[str, TargetModel]) -> _Stack:
+    """The stack of a model set, made on its first predict and kept on its models.
 
-
-@dataclass(frozen=True, eq=False)
-class _SetStacks:
-    """A model set's stacks: its heads grouped by encoder and layer widths, in the set's order."""
-
-    targets: tuple[str, ...]
-    groups: tuple[tuple[EncoderSpec, _Stack, tuple[str, ...]], ...]
-
-
-def _model_stacks(models: dict[str, TargetModel]) -> _SetStacks:
-    """The stacks of a model set, made on its first predict and kept on its models.
-
-    Model i of the set keeps (stacks, i), so the kept stacks serve only a
-    set of these very models in this very order; any other set, a set made
-    of new models included, gets stacks of its own. Two threads that both
+    Model i of the set keeps (stack, i), so the kept stack serves only a set
+    of these very models in this very order; any other set, a set made of
+    new models included, gets a stack of its own. Two threads that both
     make a set's first predict each stack it and store theirs.
     """
     targets = tuple(models)
@@ -846,22 +837,11 @@ def _model_stacks(models: dict[str, TargetModel]) -> _SetStacks:
     if kept is not None and kept[0].targets == targets and all(
             model.stacked == (kept[0], i) for i, model in enumerate(models.values())):
         return kept[0]
-    members: list[tuple[TargetModel, list[str]]] = []
-    for target, model in models.items():
-        net = model.net
-        for lead, group in members:
-            if (lead.encoder == model.encoder and lead.net.hidden == net.hidden
-                    and lead.net.cat_features == net.cat_features
-                    and lead.net.input_width == net.input_width):
-                group.append(target)
-                break
-        else:
-            members.append((model, [target]))
-    stacks = _SetStacks(targets, tuple(
-        (lead.encoder, _stack([models[t].net for t in group]), tuple(group)) for lead, group in members))
+    check_one_stack(models)
+    stack = _stack([model.net for model in models.values()], targets)
     for i, model in enumerate(models.values()):
-        model.stacked = (stacks, i)
-    return stacks
+        model.stacked = (stack, i)
+    return stack
 
 
 def predict(
@@ -882,18 +862,16 @@ def predict(
 def predict_probabilities(models: dict[str, TargetModel], records: Sequence) -> dict[str, np.ndarray]:
     """Each head's (n, classes) probability matrix for raw task records.
 
-    The heads that share an encoder and layer widths (all four in every
-    model set from train_all or load_artifact) are one stack, whose records
-    are encoded once and which runs in one pass per row block. The
+    The model set is one stack (a set whose heads differ in encoder or layer
+    shape is a ValueError naming the head, see check_one_stack), so the
+    records are encoded once, with the heads' one encoder, and run in one
+    pass per row block, whose activations go into one scratch store. The
     probabilities are those of ``forward(model.net, batch)`` on an unchanged
-    network, and the stacks share one scratch set.
+    network.
     """
     missing = set(TARGET_NAMES) - set(models)
     if missing:
         raise ValueError(f"missing models for targets: {sorted(missing)}")
-
-    probs: dict[str, np.ndarray] = {}
-    scratch: dict = {}
-    for encoder, stack, targets in _model_stacks(models).groups:
-        probs.update(zip(targets, _stacked_probs(stack, encode(records, encoder), scratch)))
-    return {target: probs[target] for target in models}
+    stack = _model_stack(models)
+    batch = encode(records, next(iter(models.values())).encoder)
+    return dict(zip(models, _stacked_probs(stack, batch, {})))

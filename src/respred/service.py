@@ -46,7 +46,7 @@ import numpy as np
 from .discretize import TARGET_NAMES, BinSpec, assign_class, class_to_allocation
 from .encode import UNKNOWN_INDEX, UNKNOWN_TOKEN, CategoricalSpec, EncoderSpec, NumericSpec
 from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, TaskRecord
-from .nnet import Network, TargetModel, TrainConfig, predict_probabilities
+from .nnet import Network, TargetModel, TrainConfig, check_one_stack, predict_probabilities
 
 MAGIC = b"RPAF"
 FORMAT_VERSION = 2
@@ -94,6 +94,18 @@ class ValidationError(ValueError):
 
 # --- spec <-> json ----------------------------------------------------------
 
+def _json_loads(text: str):
+    """json.loads for outside input, whose every failure is a ValueError.
+
+    json.loads raises a bare ValueError, not a JSONDecodeError, for an integer
+    over Python's int digit limit, and RecursionError for nesting too deep.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply") from None
+
+
 # asdict() writes a spec's tuples as JSON lists; the readers turn them back into tuples
 
 def _encoder_from_dict(doc: dict) -> EncoderSpec:
@@ -126,13 +138,11 @@ def config_fingerprint(cfg: TrainConfig) -> str:
 
 
 def _artifact_bytes(artifact: ModelArtifact) -> bytes:
-    encoders = [model.encoder for model in artifact.models.values()]
-    if not encoders or encoders.count(encoders[0]) != len(encoders):
-        raise ValueError("an artifact's models must share one encoder")
+    check_one_stack(artifact.models)
     header: dict = {
         "created_at": artifact.created_at,
         "config_fingerprint": artifact.config_fingerprint,
-        "encoder": asdict(encoders[0]),
+        "encoder": asdict(next(iter(artifact.models.values())).encoder),
         "targets": {},
     }
     blocks: list[bytes] = []
@@ -167,7 +177,7 @@ def save_artifact(
     train_config: Optional[TrainConfig] = None,
     created_at: Optional[str] = None,
 ) -> ModelArtifact:
-    """Write a servable artifact; all four targets, sharing one encoder, are required."""
+    """Write a servable artifact: all four targets, one stack (see nnet.check_one_stack), are required."""
     missing = set(TARGET_NAMES) - set(models)
     if missing:
         raise NotServableError(f"artifact missing targets: {sorted(missing)}")
@@ -199,8 +209,8 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     if 16 + header_len > len(raw):
         raise CorruptArtifactError(f"{path}: truncated header")
     try:
-        header = json.loads(raw[16:16 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        header = _json_loads(raw[16:16 + header_len].decode("utf-8"))
+    except ValueError as exc:
         raise CorruptArtifactError(f"{path}: unreadable header ({exc})") from None
 
     try:
@@ -209,13 +219,17 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         fingerprint = header.get("config_fingerprint", "")
     except KeyError as exc:
         raise CorruptArtifactError(f"{path}: header lacks key {exc.args[0]!r}") from None
-    except TypeError as exc:
+    except (TypeError, AttributeError) as exc:
         # a header value of the wrong type, or a spec with missing or unknown fields
         raise CorruptArtifactError(f"{path}: malformed header ({exc})") from None
 
     missing = set(TARGET_NAMES) - set(models)
     if missing:
         raise NotServableError(f"{path}: artifact missing targets {sorted(missing)}")
+    try:
+        check_one_stack(models)
+    except ValueError as exc:
+        raise CorruptArtifactError(f"{path}: {exc}") from None
     return ModelArtifact(
         models=models,
         created_at=created_at,
@@ -419,7 +433,7 @@ class PredictionService:
             if not line.strip():
                 continue
             try:
-                entry = json.loads(line)
+                entry = _json_loads(line)
             except ValueError:
                 entry = None
             if not (isinstance(entry, dict) and all(
@@ -661,10 +675,12 @@ class _Connection:
         if not (declared.isascii() and declared.isdigit()):
             raise ValidationError(f"Content-Length must be a non-negative integer, got {declared!r}",
                                   field_name="Content-Length")
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
-            raise ValidationError(f"request body of {length} bytes exceeds {MAX_BODY_BYTES}",
+        # leading zeros aside, more digits than the cap's is over it, and past 4,300 int() refuses them
+        digits = declared.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            raise ValidationError(f"request body of {digits} bytes exceeds {MAX_BODY_BYTES}",
                                   field_name="Content-Length", status=413)
+        length = int(digits)
         if self.expect_continue:
             self.writer.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         self.deadline = time.monotonic() + READ_TIMEOUT_S
@@ -680,8 +696,8 @@ class _Connection:
                                   field_name="Content-Length") from None
         self.close_connection = close_after_body
         try:
-            doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
+            doc = _json_loads(raw.decode("utf-8"))
+        except ValueError:
             raise ValidationError("request body is not valid JSON") from None
         if not isinstance(doc, dict):
             raise ValidationError("request body must be a JSON object")

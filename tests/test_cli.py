@@ -272,7 +272,8 @@ def test_predict_single_document(workdir, capsys):
     assert set(doc["predictions"]) == {"RAMCOUNT", "CPUTIME", "IOINTENSITY", "WALLTIME"}
 
 
-@pytest.mark.parametrize("features", ["{not json", "5"])
+@pytest.mark.parametrize("features", ["{not json", "5",
+                                      pytest.param("[" * 20_000 + "]" * 20_000, id="nested-20000-deep")])
 def test_predict_bad_features_exits_2_naming_the_flag(workdir, capsys, features):
     code = main(["predict", "--artifact", str(workdir / "artifact.rpa"), "--features", features])
     assert code == 2
@@ -377,7 +378,8 @@ def test_serve_subcommand_end_to_end(workdir):
         proc.stderr.close()
 
 
-@pytest.mark.parametrize("bad_line", ["{}", '{"task_id": "a", "pred'])
+@pytest.mark.parametrize("bad_line", ["{}", '{"task_id": "a", "pred',
+                                      pytest.param("[" * 20_000 + "]" * 20_000, id="nested-20000-deep")])
 def test_serve_refuses_a_corrupt_feedback_log_in_one_line(workdir, tmp_path, capsys, monkeypatch, bad_line):
     from respred import service
 

@@ -846,18 +846,17 @@ def test_stacked_predict_equals_each_heads_forward(monkeypatch, n_rows):
     assert_predict_equals_forward(models, records(n_rows, rng))
 
 
-def test_heads_of_other_widths_run_as_groups_of_the_kernel(monkeypatch):
-    monkeypatch.setattr(nnet, "INFERENCE_BLOCK_ROWS", 4)
+def test_predict_refuses_a_set_whose_heads_differ_in_layer_widths():
+    # a model set is one stack: the kernel has no per-head layer widths
     rng = np.random.default_rng(55)
     models = make_models(seed=12)
     wide = models["CPUTIME"]
     models["CPUTIME"] = TargetModel(target="CPUTIME", net=Network(wide.encoder, wide.net.n_classes, hidden=(6, 5),
                                                                   seed=13),
                                     encoder=wide.encoder, bins=wide.bins)
-    random_statistics(models, rng)
-    assert_predict_equals_forward(models, records(9, rng))
-    groups = nnet._model_stacks(models).groups
-    assert [targets for _, _, targets in groups] == [("RAMCOUNT", "IOINTENSITY", "WALLTIME"), ("CPUTIME",)]
+    with pytest.raises(ValueError, match=r"^CPUTIME: .*one layer shape.*\(6, 5\)"):
+        predict(models, records(3, rng))
+    assert all(model.stacked is None for model in models.values())
 
 
 def test_a_model_set_keeps_its_stacks_and_another_order_gets_its_own():

@@ -128,14 +128,22 @@ def test_artifact_version_mismatch(models, tmp_path):
             load_artifact(path)
 
 
-def rewrite_header(path, edit):
-    """Pass an artifact's JSON header through ``edit``; the weight blocks stay as they are."""
+def rewrite_header_text(path, edit):
+    """Pass an artifact's header text through ``edit``, which returns the new text; the weight blocks stay."""
     raw = path.read_bytes()
     header_len = struct.unpack("<Q", raw[8:16])[0]
-    header = json.loads(raw[16:16 + header_len])
-    edit(header)
-    new = json.dumps(header).encode()
+    new = edit(raw[16:16 + header_len].decode()).encode()
     path.write_bytes(raw[:8] + struct.pack("<Q", len(new)) + new + raw[16 + header_len:])
+
+
+def rewrite_header(path, edit):
+    """Pass an artifact's JSON header through ``edit``, which changes it in place."""
+    def through(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header)
+
+    rewrite_header_text(path, through)
 
 
 @pytest.mark.parametrize("keys", [
@@ -219,6 +227,66 @@ def test_artifact_requires_one_shared_encoder(models, tmp_path):
     )
     with pytest.raises(ValueError, match="share one encoder"):
         save_artifact(mixed, tmp_path / "mixed.rpa")
+
+
+def test_save_refuses_a_set_whose_heads_differ_in_layer_widths(models, tmp_path):
+    # a model set is one stack: the kernel has no per-head layer widths
+    models, _ = models
+    mixed = dict(models)
+    wall = models["WALLTIME"]
+    mixed["WALLTIME"] = TargetModel(target="WALLTIME", net=Network(wall.encoder, wall.bins.n_classes, hidden=(16, 8)),
+                                    encoder=wall.encoder, bins=wall.bins)
+    with pytest.raises(ValueError, match=r"^WALLTIME: .*one layer shape.*\(16, 8\)"):
+        save_artifact(mixed, tmp_path / "mixed.rpa")
+    assert not (tmp_path / "mixed.rpa").exists()
+
+
+def test_load_refuses_a_header_whose_heads_differ_in_layer_widths(models, tmp_path):
+    # WALLTIME loses its last hidden layer: every tensor it names exists, but the set is no one stack
+    models, _ = models
+    path = tmp_path / "narrow.rpa"
+    save_artifact(models, path)
+
+    def narrow(header):
+        entry = header["targets"]["WALLTIME"]
+        entry["hidden"] = entry["hidden"][:-1]
+        last = f"dense{len(entry['hidden'])}:"
+        for section in ("params", "running"):
+            entry[section] = [item for item in entry[section] if not item["name"].startswith(last)]
+        out_w = next(item for item in entry["params"] if item["name"] == "out:W")
+        out_w["shape"][0], out_w["offset"] = entry["hidden"][-1], 0
+
+    rewrite_header(path, narrow)
+    with pytest.raises(CorruptArtifactError, match=r"narrow\.rpa: WALLTIME: .*one layer shape"):
+        load_artifact(path)
+
+
+def _targets_as_a_list(text):
+    header = json.loads(text)
+    header["targets"] = list(header["targets"].values())
+    return json.dumps(header)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_targets_as_a_list, id="targets-a-list"),
+    pytest.param(lambda text: text.replace('"created_at":"x"', '"created_at":' + "[" * 20_000 + "]" * 20_000),
+                 id="nested-20000-deep"),
+    pytest.param(lambda text: text.replace('"created_at":"x"', '"created_at":' + "1" * 5_000),
+                 id="int-of-5000-digits"),
+])
+def test_header_json_the_loader_cannot_take_is_corrupt(models, tmp_path, capsys, edit):
+    from respred.cli import main
+
+    models, synth = models
+    path = tmp_path / "j.rpa"
+    save_artifact(models, path, created_at="x")
+    rewrite_header_text(path, edit)
+    with pytest.raises(CorruptArtifactError, match="j.rpa"):
+        load_artifact(path)
+    features = json.dumps(sample_request(synth.dataset.records[0]))
+    assert main(["predict", "--artifact", str(path), "--features", features]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:")
 
 
 def test_artifact_missing_target_not_servable(models, tmp_path):
@@ -555,6 +623,7 @@ def test_feedback_log_lines_without_known_task_replay_as_unknown(models, tmp_pat
     '{"task_id": "a", "pred',               # torn by a crash mid-write
     "[1, 2]",                               # not an object
     '{"predicted_classes": {}, "actual_classes": {}}',
+    pytest.param("[" * 20_000 + "]" * 20_000, id="nested-20000-deep"),
 ])
 def test_feedback_log_malformed_line_names_file_and_line(models, tmp_path, bad_line):
     models, synth = models
@@ -788,7 +857,7 @@ def test_http_bad_content_length_is_400(server, content_length):
 def test_http_oversized_body_is_413_before_reading(server):
     # no body follows the header: a server that tried to read it would time out
     base, _, _ = server
-    for declared in (MAX_BODY_BYTES + 1, 10**18):
+    for declared in (MAX_BODY_BYTES + 1, 10**18, "9" * 5_000, "0" * 5_000 + str(MAX_BODY_BYTES + 1)):
         status, doc = post_with_length(base, str(declared))
         assert status == 413
         assert doc["field"] == "Content-Length"
@@ -798,8 +867,32 @@ def test_http_body_at_cap_is_read(server):
     base, _, synth = server
     body = json.dumps(sample_request(synth.dataset.records[0])).encode()
     body += b" " * (MAX_BODY_BYTES - len(body))
-    status, doc = post_with_length(base, str(MAX_BODY_BYTES), body)
-    assert status == 200 and set(doc["predictions"]) == set(TARGETS)
+    for declared in (str(MAX_BODY_BYTES), "0" * 5_000 + str(MAX_BODY_BYTES)):     # leading zeros are no digits
+        status, doc = post_with_length(base, declared, body)
+        assert status == 200 and set(doc["predictions"]) == set(TARGETS)
+
+
+@pytest.mark.parametrize("path, field, raw", [
+    pytest.param("/predict", "NCORE", "1" * 5_000, id="predict-NCORE-of-5000-digits"),
+    pytest.param("/feedback", "RAMCOUNT", "1" * 5_000, id="feedback-RAMCOUNT-of-5000-digits"),
+    pytest.param("/predict", "NCORE", "[" * 100_000 + "]" * 100_000, id="nested-100000-deep"),
+])
+def test_http_body_json_the_server_cannot_take_is_400(server, path, field, raw):
+    # json.dumps cannot write either value, so the raw text takes a placeholder's place
+    base, svc, synth = server
+    if path == "/predict":
+        doc = {**sample_request(synth.dataset.records[0]), field: "<raw>"}
+    else:
+        doc = {"task_id": "t0", "predicted_classes": {t: 0 for t in TARGETS},
+               "actual_targets": {**actual_targets_for(synth, 0), field: "<raw>"}}
+    body = json.dumps(doc).replace('"<raw>"', raw).encode()
+    with connect(base) as sock, sock.makefile("rb") as stream:
+        sock.sendall(f"POST {path} HTTP/1.1\r\nHost: x\r\nContent-Length: {len(body)}\r\n\r\n".encode() + body)
+        status, _, answer = read_response(stream)
+        assert status == 400 and "request body" in json.loads(answer)["error"]
+        sock.sendall(request_bytes("GET", "/health"))     # the connection still serves
+        assert read_response(stream)[0] == 200
+    assert svc.metrics_summary()["n_records"] == 0
 
 
 def test_http_short_body_is_408_and_closes(server, monkeypatch):
