@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -76,37 +77,35 @@ def _aligned_targets(dataset: ingest.Dataset, by_task: dict[str, dict[str, float
     }
 
 
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """A parser type: an integer of at least minimum (1 for counts and widths, 0 for seeds)."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text!r}")
+        return value
+    return parse
+
+
 def _widths(text: str) -> tuple[int, ...]:
     """--hidden: comma-separated layer widths, each at least 1."""
-    try:
-        widths = tuple(int(w) for w in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
-    if min(widths) < 1:
-        raise argparse.ArgumentTypeError(f"layer widths must be >= 1, got {text!r}")
-    return widths
+    return tuple(map(_int_at_least(1), text.split(",")))
 
 
-def _learning_rate(text: str) -> float:
-    """--learning-rate: a finite rate above 0; at 0 the weights would never move."""
-    try:
-        rate = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
-    if not (math.isfinite(rate) and rate > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return rate
-
-
-def _positive_int(text: str) -> int:
-    """--batch-size, --max-epochs, --patience: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
-    return value
+def _finite(minimum: float, strict: bool = False) -> Callable[[str], float]:
+    """A parser type: a finite number of at least minimum, or above it when strict."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+        if not (math.isfinite(value) and (value > minimum if strict else value >= minimum)):
+            raise argparse.ArgumentTypeError(f"must be finite and {'>' if strict else '>='} {minimum}, got {text!r}")
+        return value
+    return parse
 
 
 def _check_output(path: str | None) -> None:
@@ -314,15 +313,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic task population")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--n-tasks", type=int, default=10000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n-tasks", type=_int_at_least(0), default=10000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("derive", help="derive continuous targets from job profiles")
     p.add_argument("--jobs", required=True, help="job-profile CSV")
     p.add_argument("--out", required=True, help="targets CSV to write")
-    p.add_argument("--margin", type=float, default=ResourceConfig.margin)
-    p.add_argument("--min-ram", type=float, default=ResourceConfig.min_ram_count)
+    p.add_argument("--margin", type=_finite(0), default=ResourceConfig.margin)
+    p.add_argument("--min-ram", type=_finite(0), default=ResourceConfig.min_ram_count)
     p.add_argument("--all-jobs", action="store_true",
                    help="aggregate over all jobs instead of scout jobs")
     p.set_defaults(func=cmd_derive)
@@ -331,12 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="task CSV")
     p.add_argument("--targets", required=True, help="targets CSV (from derive or synth)")
     p.add_argument("--out", required=True, help="artifact file to write")
-    p.add_argument("--learning-rate", type=_learning_rate, default=5e-5)
-    p.add_argument("--batch-size", type=_positive_int, default=256)
-    p.add_argument("--max-epochs", type=_positive_int, default=200)
-    p.add_argument("--patience", type=_positive_int, default=4)
+    p.add_argument("--learning-rate", type=_finite(0, strict=True), default=5e-5)     # at 0 no weight moves
+    p.add_argument("--batch-size", type=_int_at_least(1), default=256)
+    p.add_argument("--max-epochs", type=_int_at_least(1), default=200)
+    p.add_argument("--patience", type=_int_at_least(1), default=4)
     p.add_argument("--hidden", type=_widths, default="256,128,64")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="individual and pipeline metrics on a labeled set")
@@ -361,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", help="job-profile CSV (required for scout mode)")
     p.add_argument("--model-dir", required=True,
                    help="artifact file or directory containing artifact.rpa")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--ml-latency", type=float, default=0.5)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--ml-latency", type=_finite(0), default=0.5)
     p.add_argument("--report-out", help="JSON report path (a .txt summary is written beside it)")
     p.set_defaults(func=cmd_simulate)
 

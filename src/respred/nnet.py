@@ -27,18 +27,19 @@ folded layers are stacked into (H, in, out) weights, (H, 1, out) biases
 and (H, vocab, dim) embedding tables, so a layer of all H heads is one
 batched matmul, one add and one ReLU. The output layer is padded to the
 widest head with -inf biases, and a binary head's logit z becomes the pair
-(0, z), so one softmax serves every head. A model set is one stack, made
-on its first predict and kept on its models (``TargetModel.stacked``, see
-_model_stack), so a model's params and running statistics must not change
-in place after its first predict; heads of another encoder or other layer
-widths are refused (check_one_stack). ``forward``'s inference mode and the
-per-epoch validation forward are the one-head case, stacked afresh on
-every call. A block is INFERENCE_BLOCK_ROWS // H rows of all H heads; the
-blocks, each a view of the batch, write their activations into one
-scratch store and their probabilities into one output array, so a pass
-holds the output and a full and a last block's activations, whatever the
-row count. Inference never touches the network's workspace, so
-concurrent predictions on one network are safe.
+(0, z), so one softmax serves every head. A model set is one stack
+(model_stack); heads of another encoder or other layer widths are refused
+(check_one_stack). No model keeps a stack: ``predict``, ``forward``'s
+inference mode and the per-epoch validation forward (the one-head case)
+stack afresh on every call, so a change to a network's params shows in
+the next call. A model set that does not change, a loaded artifact, keeps
+its stack itself (``service.ModelArtifact.stack``). A block is
+INFERENCE_BLOCK_ROWS // H rows of all H heads; the blocks, each a view of
+the batch, write their activations into one scratch store and their
+probabilities into one output array, so a pass holds the output and a
+full and a last block's activations, whatever the row count. Inference
+never touches the network's workspace, so concurrent predictions on one
+network are safe.
 
 ``_forward_cached`` is the unfolded pass: dense layer, batch normalization,
 ReLU and, in train mode, dropout mask, over the whole batch. It backs train
@@ -692,11 +693,7 @@ def train(
 class TargetModel:
     """One trained head bundled with the specs its inputs were built from.
 
-    The heads of a model set share one encoder and one layer shape. The
-    first ``predict`` on a set folds them into one stack (see _model_stack)
-    and keeps it on its models, so a network's params and running statistics
-    must not be changed in place after that call; build a new TargetModel
-    around a network that changed.
+    The heads of a model set share one encoder and one layer shape (see check_one_stack).
     """
 
     target: str
@@ -704,8 +701,6 @@ class TargetModel:
     encoder: EncoderSpec
     bins: BinSpec
     train_summary: dict = field(default_factory=dict)
-    # (the stack of the model set this model was first predicted in, its place in that set)
-    stacked: Optional[tuple[_Stack, int]] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.net.input_width != self.encoder.input_width:
@@ -748,7 +743,8 @@ class _Stack:
     (1 - sigmoid(z), sigmoid(z)); the columns past a head's classes have a
     -inf bias, so their softmax share is exactly 0. Every array is a float64
     copy: a float32 network computes what it serves once widened. A model
-    set's stack names its heads' targets; ``forward``'s names none.
+    set's stack names its heads' targets and carries their one encoder;
+    ``forward``'s has neither.
     """
 
     cat_features: tuple[tuple[str, int, int], ...]
@@ -757,9 +753,10 @@ class _Stack:
     layers: tuple[tuple[np.ndarray, np.ndarray], ...]
     n_classes: tuple[int, ...]
     targets: tuple[str, ...] = ()
+    encoder: Optional[EncoderSpec] = None
 
 
-def _stack(nets: Sequence[Network], targets: tuple[str, ...] = ()) -> _Stack:
+def _stack(nets: Sequence[Network], targets: tuple[str, ...] = (), encoder: Optional[EncoderSpec] = None) -> _Stack:
     """The nets' inference layers stacked; they share categorical features and layer widths."""
     params = [{k: v.astype(np.float64, copy=False) for k, v in net.params.items()} for net in nets]
     running = [{k: v.astype(np.float64, copy=False) for k, v in net.running.items()} for net in nets]
@@ -788,6 +785,7 @@ def _stack(nets: Sequence[Network], targets: tuple[str, ...] = ()) -> _Stack:
         layers=tuple(layers),
         n_classes=tuple(net.n_classes for net in nets),
         targets=targets,
+        encoder=encoder,
     )
 
 
@@ -823,25 +821,16 @@ def _stacked_probs(stack: _Stack, batch: EncodedBatch, scratch: dict) -> list[np
     return [probs[h, :, :k] for h, k in enumerate(stack.n_classes)]
 
 
-def _model_stack(models: dict[str, TargetModel]) -> _Stack:
-    """The stack of a model set, made on its first predict and kept on its models.
+def model_stack(models: Mapping[str, TargetModel]) -> _Stack:
+    """A copy of a model set, folded and stacked.
 
-    Model i of the set keeps (stack, i), so the kept stack serves only a set
-    of these very models in this very order; any other set, a set made of
-    new models included, gets a stack of its own. Two threads that both
-    make a set's first predict each stack it and store theirs.
+    A set that lacks a target, or that check_one_stack refuses, is a ValueError.
     """
-    targets = tuple(models)
-    kept = next(iter(models.values())).stacked
-    # stacks compare by identity: one read of each model's pair, which another thread may replace
-    if kept is not None and kept[0].targets == targets and all(
-            model.stacked == (kept[0], i) for i, model in enumerate(models.values())):
-        return kept[0]
+    missing = set(TARGET_NAMES) - set(models)
+    if missing:
+        raise ValueError(f"missing models for targets: {sorted(missing)}")
     check_one_stack(models)
-    stack = _stack([model.net for model in models.values()], targets)
-    for i, model in enumerate(models.values()):
-        model.stacked = (stack, i)
-    return stack
+    return _stack([model.net for model in models.values()], tuple(models), next(iter(models.values())).encoder)
 
 
 def predict(
@@ -862,16 +851,16 @@ def predict(
 def predict_probabilities(models: dict[str, TargetModel], records: Sequence) -> dict[str, np.ndarray]:
     """Each head's (n, classes) probability matrix for raw task records.
 
-    The model set is one stack (a set whose heads differ in encoder or layer
-    shape is a ValueError naming the head, see check_one_stack), so the
-    records are encoded once, with the heads' one encoder, and run in one
-    pass per row block, whose activations go into one scratch store. The
-    probabilities are those of ``forward(model.net, batch)`` on an unchanged
-    network.
+    The set is stacked afresh on every call, so the probabilities are those
+    of ``forward(model.net, batch)`` on each network as it is now.
     """
-    missing = set(TARGET_NAMES) - set(models)
-    if missing:
-        raise ValueError(f"missing models for targets: {sorted(missing)}")
-    stack = _model_stack(models)
-    batch = encode(records, next(iter(models.values())).encoder)
-    return dict(zip(models, _stacked_probs(stack, batch, {})))
+    return stack_probabilities(model_stack(models), records)
+
+
+def stack_probabilities(stack: _Stack, records: Sequence) -> dict[str, np.ndarray]:
+    """Each head's (n, classes) probability matrix for raw task records, from a model set's stack.
+
+    The records are encoded once, with the heads' one encoder, and run in
+    one pass per row block, whose activations go into one scratch store.
+    """
+    return dict(zip(stack.targets, _stacked_probs(stack, encode(records, stack.encoder), {})))

@@ -46,7 +46,7 @@ import numpy as np
 from .discretize import TARGET_NAMES, BinSpec, assign_class, class_to_allocation
 from .encode import UNKNOWN_INDEX, UNKNOWN_TOKEN, CategoricalSpec, EncoderSpec, NumericSpec
 from .ingest import NUMERIC_FEATURES, TASK_COLUMNS, TaskRecord
-from .nnet import Network, TargetModel, TrainConfig, check_one_stack, predict_probabilities
+from .nnet import Network, TargetModel, TrainConfig, check_one_stack, model_stack, stack_probabilities
 
 MAGIC = b"RPAF"
 FORMAT_VERSION = 2
@@ -125,10 +125,20 @@ def _bins_from_dict(doc: dict) -> BinSpec:
 
 @dataclass
 class ModelArtifact:
+    """A model set as served: its models do not change once it is made."""
+
     models: dict[str, TargetModel]
     created_at: str
     config_fingerprint: str
     sha256: Optional[str] = None     # of the file's bytes, once saved or loaded
+
+    @functools.cached_property
+    def stack(self):
+        """The models folded and stacked once, on the first predict_request (see nnet.model_stack).
+
+        Two threads making that first request may each fold them; the stacks are equal, and one is kept.
+        """
+        return model_stack(self.models)
 
 
 def config_fingerprint(cfg: TrainConfig) -> str:
@@ -327,7 +337,7 @@ def predict_request(artifact: ModelArtifact, doc: Mapping) -> dict:
     """One prediction document: class, probabilities and allocation per target."""
     record = record_from_request(doc)
     started = time.perf_counter()
-    probs = predict_probabilities(artifact.models, [record])
+    probs = stack_probabilities(artifact.stack, [record])
     elapsed = time.perf_counter() - started
 
     predictions: dict = {}

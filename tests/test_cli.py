@@ -142,6 +142,34 @@ def test_train_refuses_a_bad_flag_before_reading_any_csv(tmp_path, capsys, flag,
     assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("derive", "--margin", "nan"),
+    ("derive", "--margin", "-1"),
+    ("derive", "--min-ram", "inf"),
+    ("simulate", "--ml-latency", "nan"),
+    ("simulate", "--ml-latency", "inf"),
+    ("simulate", "--ml-latency", "-1"),
+    ("synth", "--n-tasks", "-5"),
+    ("synth", "--seed", "-1"),
+    ("simulate", "--seed", "-1"),
+    ("train", "--seed", "-1"),
+])
+def test_a_bad_numeric_flag_exits_2_from_the_parser(tmp_path, capsys, command, flag, value):
+    # the inputs do not exist: reading them would be a returned 2, not the parser's exit
+    absent = str(tmp_path / "absent.csv")
+    required = {
+        "derive": ["--jobs", absent, "--out", str(tmp_path / "derived.csv")],
+        "simulate": ["--mode", "ml", "--tasks", absent, "--targets", absent, "--model-dir", absent],
+        "synth": ["--out", str(tmp_path / "synth")],
+        "train": ["--data", absent, "--targets", absent, "--out", str(tmp_path / "artifact.rpa")],
+    }[command]
+    with pytest.raises(SystemExit) as err:
+        main([command, *required, flag, value])
+    assert err.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "synth").exists()
+
+
 def command_args(workdir, tmp_path, command):
     """Flags that run command on the module's files, writing into tmp_path."""
     return {

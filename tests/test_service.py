@@ -16,7 +16,7 @@ import urllib.error
 import numpy as np
 import pytest
 
-from respred import service
+from respred import nnet, service
 from respred.discretize import assign_class
 from respred.encode import fit_encoder
 from respred.ingest import SplitSpec, stratified_split
@@ -318,6 +318,21 @@ def test_predict_request_shape(models):
         assert 0 <= preds[t]["class"] < len(preds[t]["probabilities"])
         assert preds[t]["allocation"] > 0
     assert response["inference_seconds"] >= 0
+
+
+def test_predict_requests_on_one_artifact_share_its_stack(models, monkeypatch):
+    # an artifact's models do not change, so it folds them once, on its first request
+    models, synth = models
+    made = []
+    stack = nnet._stack
+    monkeypatch.setattr(nnet, "_stack", lambda *args: made.append(stack(*args)) or made[-1])
+    artifact = ModelArtifact(models=models, created_at="", config_fingerprint="")
+    docs = [sample_request(record) for record in synth.dataset.records[:2]]
+    answers = [predict_request(artifact, doc) for doc in docs]
+    assert len(made) == 1 and artifact.stack is made[0]
+    for doc, answer in zip(docs, answers):
+        assert answer["predictions"] == predict_request(
+            ModelArtifact(models=models, created_at="", config_fingerprint=""), doc)["predictions"]
 
 
 def test_predict_request_missing_feature(models):
