@@ -21,7 +21,7 @@ import numpy as np
 
 from . import ingest, pipeline, service, simsynth
 from .discretize import TARGET_NAMES
-from .nnet import TrainConfig, predict
+from .nnet import HIDDEN, TrainConfig, predict
 from .targets import ResourceConfig, derive_tasks
 
 TASK_ID = ingest.TASK_COLUMNS["task_id"]
@@ -330,11 +330,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="task CSV")
     p.add_argument("--targets", required=True, help="targets CSV (from derive or synth)")
     p.add_argument("--out", required=True, help="artifact file to write")
-    p.add_argument("--learning-rate", type=_finite(0, strict=True), default=5e-5)     # at 0 no weight moves
-    p.add_argument("--batch-size", type=_int_at_least(1), default=256)
-    p.add_argument("--max-epochs", type=_int_at_least(1), default=200)
-    p.add_argument("--patience", type=_int_at_least(1), default=4)
-    p.add_argument("--hidden", type=_widths, default="256,128,64")
+    # at a learning rate of 0 no weight moves
+    p.add_argument("--learning-rate", type=_finite(0, strict=True), default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", type=_int_at_least(1), default=TrainConfig.batch_size)
+    p.add_argument("--max-epochs", type=_int_at_least(1), default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=_int_at_least(1), default=TrainConfig.patience)
+    p.add_argument("--hidden", type=_widths, default=HIDDEN)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.set_defaults(func=cmd_train)
 

@@ -2,12 +2,13 @@
 
 One Network instance per target. Categorical features pass through embedding
 tables, numeric features enter directly; the concatenation feeds dense
-layers of widths 256/128/64, each followed by batch normalization, ReLU and
-progressive dropout (40/30/30%). Multi-class heads use softmax with sparse
-cross-entropy; the binary head uses a single sigmoid unit with binary
-cross-entropy. Training runs Adam with class-weighted loss, L2 on dense and
-embedding weights, early stopping on validation accuracy, and an immediate
-abort on any non-finite loss.
+layers of widths HIDDEN (256/128/64), each followed by batch normalization,
+ReLU and progressive dropout (40/30/30%). Every head is a softmax with sparse
+cross-entropy. The binary head has one output unit whose logit z is taken as
+the pair (0, z), and it is trained, validated and served as that softmax,
+which equals a sigmoid unit with binary cross-entropy. Training runs Adam
+with class-weighted loss, L2 on dense and embedding weights, early stopping
+on validation accuracy, and an immediate abort on any non-finite loss.
 
 Everything is numpy; forward/backward are hand-derived so gradients can be
 checked against central finite differences.
@@ -83,6 +84,8 @@ PROB_FLOOR = 1e-12
 # is 1024 x 256 floats (2 MB), and a block's numpy call overhead stays under
 # 5% of its arithmetic
 INFERENCE_BLOCK_ROWS = 1024
+# the dense layers' widths, first to last
+HIDDEN = (256, 128, 64)
 
 
 class NanLossError(FloatingPointError):
@@ -128,7 +131,7 @@ class Network:
         self,
         encoder: EncoderSpec,
         n_classes: int,
-        hidden: tuple[int, ...] = (256, 128, 64),
+        hidden: tuple[int, ...] = HIDDEN,
         seed: int = 0,
     ) -> None:
         if n_classes < 2:
@@ -311,36 +314,18 @@ def _forward_cached(
         layers.append({"x_in": x, "xhat": xhat, "gate": gate, "mu": mu, "var": var, "inv_std": inv_std})
         x = out
 
-    probs = _probabilities(x @ net.params["out:W"] + net.params["out:b"], net.binary)
-    return probs, {"layers": layers, "x_last": x}
+    logits = x @ net.params["out:W"] + net.params["out:b"]
+    if net.binary:
+        # the softmax of (0, z) is (1 - sigmoid(z), sigmoid(z)), as _stack serves it
+        logits = np.concatenate([np.zeros_like(logits), logits], axis=1)
+    return _probabilities(logits), {"layers": layers, "x_last": x}
 
 
-def _largest_finite_exponent(dtype: type) -> np.floating:
-    """The largest x of ``dtype`` whose np.exp is finite."""
-    x = np.log(np.finfo(dtype).max)
-    with np.errstate(over="ignore"):
-        while not np.isfinite(np.exp(x)):
-            x = np.nextafter(x, dtype(-np.inf))
-        while np.isfinite(np.exp(np.nextafter(x, dtype(np.inf)))):
-            x = np.nextafter(x, dtype(np.inf))
-    return x
+def _probabilities(logits: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, written over logits.
 
-
-# the sigmoid's exponent bound by dtype: 88.72283 in float32, 709.78 in float64
-SIGMOID_EXPONENT_LIMIT = {dt: _largest_finite_exponent(dt) for dt in (np.float32, np.float64)}
-
-
-def _probabilities(logits: np.ndarray, binary: bool) -> np.ndarray:
-    """Softmax along the last axis, written over logits; a binary head's one logit gives [1 - p, p].
-
-    The sigmoid's exponent -logits is bounded where its exp is still finite,
-    so exp never overflows and every exponent below the bound keeps its p;
-    one above it gives p below 3e-39 (float32) or 6e-309 (float64), not 0.
+    The largest logit of a row is subtracted first, so exp never overflows.
     """
-    if binary:
-        exponent = np.minimum(-logits, SIGMOID_EXPONENT_LIMIT[logits.dtype.type])
-        p = 1.0 / (1.0 + np.exp(exponent, out=exponent))
-        return np.concatenate([1.0 - p, p], axis=1)
     # the ufuncs' own reductions: ndarray.max and .sum call them through a Python wrapper
     logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     probs = np.exp(logits, out=logits)
@@ -354,7 +339,7 @@ def forward(
     mode: str = "inference",
     dropout_masks: Optional[list[np.ndarray]] = None,
 ) -> np.ndarray:
-    """Class-probability matrix (rows sum to 1); binary nets emit [1-p, p].
+    """Class-probability matrix (rows sum to 1); a binary net's is the softmax of (0, z).
 
     "inference" normalizes with the running statistics and drops nothing; it
     ignores dropout masks. "train" normalizes with batch statistics into the
@@ -456,13 +441,11 @@ def loss_and_grads(
     grads: dict[str, np.ndarray] = {}
 
     # output layer: d(data)/d(logits)
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(n), labels] = 1.0
+    dlogits = (probs - onehot) * (w / w_sum)[:, None]
     if net.binary:
-        p = probs[:, 1]
-        dlogits = ((p - labels.astype(p.dtype)) * (w / w_sum))[:, None]
-    else:
-        onehot = np.zeros_like(probs)
-        onehot[np.arange(n), labels] = 1.0
-        dlogits = (probs - onehot) * (w / w_sum)[:, None]
+        dlogits = dlogits[:, 1:]    # of the pair (0, z), only z comes from the output layer
 
     x_last = cache["x_last"]
     grads["out:W"] = x_last.T @ dlogits + cfg.l2_lambda * net.params["out:W"]
@@ -578,26 +561,6 @@ def train_step(
 
 
 @dataclass
-class EarlyStopper:
-    """Stop after `patience` epochs without a strict accuracy improvement."""
-
-    patience: int
-    best: float = -np.inf
-    best_epoch: int = 0
-    epochs_since_best: int = 0
-
-    def update(self, epoch: int, val_accuracy: float) -> bool:
-        """Record one epoch; returns True when training should stop."""
-        if val_accuracy > self.best:
-            self.best = val_accuracy
-            self.best_epoch = epoch
-            self.epochs_since_best = 0
-            return False
-        self.epochs_since_best += 1
-        return self.epochs_since_best >= self.patience
-
-
-@dataclass
 class TrainReport:
     train_loss: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
@@ -626,6 +589,8 @@ def train(
 ) -> TrainReport:
     """Mini-batch training with early stopping on validation accuracy.
 
+    The best epoch is the first with the highest validation accuracy; a tie
+    does not replace it. Training stops after cfg.patience epochs past it.
     Deterministic given cfg.seed: the shuffle and dropout streams come from
     one seeded generator. The best epoch's weights (and running statistics)
     are restored before returning, except after a NaN abort.
@@ -642,7 +607,7 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     adam_state = AdamState()
     report = TrainReport()
-    stopper = EarlyStopper(patience=cfg.patience)
+    best_acc, best_epoch = -np.inf, 0
     best_state: Optional[dict[str, np.ndarray]] = None
     val_scratch: dict = {}    # the validation forward's activations, reused every epoch
 
@@ -669,11 +634,9 @@ def train(
             report.val_accuracy.append(val_acc)
             report.epoch_seconds.append(time.perf_counter() - started)
 
-            improved = stopper.best < val_acc
-            should_stop = stopper.update(epoch, val_acc)
-            if improved:
-                best_state = net.snapshot()
-            if should_stop:
+            if val_acc > best_acc:
+                best_acc, best_epoch, best_state = val_acc, epoch, net.snapshot()
+            elif epoch - best_epoch >= cfg.patience:
                 report.stop_reason = "early_stop"
                 break
         else:
@@ -681,11 +644,11 @@ def train(
     finally:
         net.workspace.clear()     # the scratch buffers hold megabytes per head
 
-    report.best_epoch = stopper.best_epoch
+    report.best_epoch = best_epoch
     if best_state is not None:
         net.restore(best_state)
         report.weights_trained = True
-        report.best_val_accuracy = stopper.best
+        report.best_val_accuracy = best_acc
     return report
 
 
@@ -817,7 +780,7 @@ def _stacked_probs(stack: _Stack, batch: EncodedBatch, scratch: dict) -> list[np
         # into contiguous scratch: a block of the (H, rows, width) result is strided
         logits = np.matmul(x, W_out, out=_buffer(scratch, "logits", (*shape, W_out.shape[2])))
         logits += b_out
-        probs[:, rows] = _probabilities(logits, binary=False)     # a padded column is exp(-inf) = 0
+        probs[:, rows] = _probabilities(logits)     # a padded column is exp(-inf) = 0
     return [probs[h, :, :k] for h, k in enumerate(stack.n_classes)]
 
 

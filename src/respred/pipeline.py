@@ -58,7 +58,7 @@ from .metrics import (
     per_class_prf,
     pipeline_metrics,
 )
-from .nnet import Network, TargetModel, TrainConfig, TrainReport, forward, predict_probabilities, train
+from .nnet import HIDDEN, Network, TargetModel, TrainConfig, TrainReport, forward, predict_probabilities, train
 
 # what a head trains in; its params are widened to float64 when training ends
 TRAIN_DTYPE = np.float32
@@ -103,7 +103,7 @@ def train_target(
     target: str,
     bins: BinSpec,
     cfg: TrainConfig,
-    hidden: tuple[int, ...] = (256, 128, 64),
+    hidden: tuple[int, ...] = HIDDEN,
 ) -> TrainedTarget:
     """Train one head on the shared batches; report held-out accuracy."""
     return _trained(data, target, bins, *_fit(_fit_inputs(data), target, bins, cfg, hidden))
@@ -172,7 +172,7 @@ def train_all(
     dataset: Dataset,
     target_values: Mapping[str, np.ndarray],
     cfg: TrainConfig,
-    hidden: tuple[int, ...] = (256, 128, 64),
+    hidden: tuple[int, ...] = HIDDEN,
     split_seed: int = 0,
 ) -> tuple[dict[str, TargetModel], dict[str, TrainedTarget]]:
     """Fit bins, split and encode once, then train the four heads with per-target seeds, one worker each."""

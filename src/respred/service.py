@@ -767,8 +767,9 @@ class Server:
 def parse_bind(bind: Optional[str] = None) -> tuple[str, int]:
     value = bind or os.environ.get(BIND_ENV_VAR, DEFAULT_BIND)
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValidationError(f"bind address must be host:port, got {value!r}")
+    # isascii: isdigit alone passes digits of other scripts, which int() reads; a port has at most 5 digits
+    if not (host and port.isascii() and port.isdigit() and len(port) <= 5 and int(port) <= 65535):
+        raise ValidationError(f"bind address must be host:port with a port of 0-65535, got {value!r}")
     return host, int(port)
 
 

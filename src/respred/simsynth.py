@@ -86,7 +86,7 @@ class GeneratorSpec:
 
     seed: int = 0
     n_tasks: int = 10_000
-    profiles: tuple[CategoryProfile, ...] = field(default_factory=default_profiles)
+    profiles: ClassVar[tuple[CategoryProfile, ...]] = default_profiles()
     noise_sigma: ClassVar[float] = 0.05          # residual log-noise on each target
     event_coupling: ClassVar[float] = 0.85       # log-target shift per sigma of log-events
     file_coupling: ClassVar[float] = 0.60        # same, for I/O vs log-files
@@ -96,11 +96,6 @@ class GeneratorSpec:
     scout_fraction: ClassVar[float] = 0.08
     # queue bounds wide open so the synthetic walltime tail is not clipped
     resource_config: ClassVar[ResourceConfig] = ResourceConfig(min_time=0.0, max_time=1e9)
-
-    def __post_init__(self) -> None:
-        total = sum(p.probability for p in self.profiles)
-        if self.profiles and abs(total - 1.0) > 1e-9:
-            raise ValueError(f"profile probabilities must sum to 1, got {total}")
 
 
 @dataclass

@@ -19,7 +19,6 @@ from respred.ingest import TaskRecord
 from respred.nnet import (
     BN_EPS,
     AdamState,
-    EarlyStopper,
     NanLossError,
     Network,
     TargetModel,
@@ -109,24 +108,24 @@ def test_binary_head_emits_two_columns():
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_binary_sigmoid_does_not_overflow(dtype):
-    # exp(-logit) overflows below about -88.7 in float32 and -709 in float64
-    limit = nnet.SIGMOID_EXPONENT_LIMIT[dtype]
-    with np.errstate(over="ignore"):
-        assert np.isfinite(np.exp(limit)) and np.exp(np.nextafter(limit, dtype(np.inf))) == np.inf
-    edge = [-limit, np.nextafter(-limit, dtype(-np.inf)), np.nextafter(-limit, dtype(np.inf))]
-    logits = np.concatenate([np.linspace(-2000, 2000, 4001), edge]).astype(dtype)[:, None]
+def test_binary_train_forward_of_huge_logits_does_not_overflow(dtype):
+    # exp of a logit overflows above about 88.7 in float32 and 709 in float64
+    rng = np.random.default_rng(6)
+    net = tiny_net(n_classes=2)
+    for state in (net.params, net.running):
+        for name, value in state.items():
+            state[name] = value.astype(dtype)
+    net.params["out:W"][:] = np.array([[3000.0], [-3000.0]], dtype)
+    batch = tiny_batch(rng, n_rows=64, n_classes=2)
+    batch.numeric_matrix = batch.numeric_matrix.astype(dtype)
+    _, cache = _forward_cached(net, batch, "train", None)
+    z = cache["x_last"] @ net.params["out:W"] + net.params["out:b"]
+    assert z.min() < -2000 and z.max() > 2000
     with np.errstate(over="raise"):
-        probs = nnet._probabilities(logits.copy(), binary=True)
+        probs = forward(net, batch, mode="train")
     assert probs.dtype == dtype
-    # the unbounded sigmoid, wherever its exp stays finite, bit for bit
-    with np.errstate(over="ignore"):
-        exp = np.exp(-logits[:, 0])
-    finite = np.isfinite(exp)
-    p = 1.0 / (1.0 + exp[finite])
-    assert np.array_equal(probs[finite, 1], p) and np.array_equal(probs[finite, 0], 1.0 - p)
-    assert (~finite).sum() > 1000
-    assert (probs[~finite, 0] == 1.0).all() and (probs[~finite, 1] < 1e-38).all()
+    assert np.isfinite(probs).all()
+    assert np.abs(probs.sum(axis=1) - 1.0).max() <= 2 * np.finfo(dtype).eps
 
 
 def test_binary_forward_of_a_very_negative_logit_does_not_overflow():
@@ -541,26 +540,6 @@ def test_class_weight_vector_inverse_frequency():
     assert w[1] == pytest.approx(4 / (2 * 1))
 
 
-# --- early stopping schedule
-
-def test_early_stopper_worsening_after_first_epoch():
-    stopper = EarlyStopper(patience=4)
-    accs = [0.9, 0.8, 0.7, 0.6, 0.5]
-    stops = [stopper.update(epoch, acc) for epoch, acc in enumerate(accs, start=1)]
-    assert stops == [False, False, False, False, True]   # stops at epoch 5
-    assert stopper.best_epoch == 1
-
-
-def test_early_stopper_resets_on_improvement():
-    stopper = EarlyStopper(patience=2)
-    assert not stopper.update(1, 0.5)
-    assert not stopper.update(2, 0.4)
-    assert not stopper.update(3, 0.6)    # improvement resets the counter
-    assert not stopper.update(4, 0.6)    # ties do not improve
-    assert stopper.update(5, 0.6)
-    assert stopper.best_epoch == 3
-
-
 # --- training loop
 
 def separable_batches(rng, n=400):
@@ -595,6 +574,35 @@ def test_train_on_separable_data():
 def test_config_refuses_settings_that_cannot_train(field, value):
     with pytest.raises(ValueError, match=field):
         TrainConfig(**{field: value})
+
+
+def test_early_stop_counts_patience_from_the_first_best_epoch():
+    rng = np.random.default_rng(22)
+    train_b, val_b = separable_batches(rng, n=200)
+    net = Network(tiny_encoder(), n_classes=2, hidden=(8, 4, 2), seed=3)
+    cfg = TrainConfig(learning_rate=1e-2, batch_size=32, max_epochs=40, patience=3, seed=3)
+    report = train(net, train_b, val_b, cfg)
+    acc = report.val_accuracy
+    best = max(acc)
+    assert report.stop_reason == "early_stop"
+    assert report.best_epoch == acc.index(best) + 1 > 1     # an improvement after epoch 1
+    assert best in acc[report.best_epoch:]                  # a later tie, which does not count as one
+    assert len(acc) == report.best_epoch + cfg.patience
+    assert report.best_val_accuracy == best
+
+
+def test_early_stop_after_the_first_epoch_when_accuracy_falls():
+    rng = np.random.default_rng(60)
+    train_b, val_b = separable_batches(rng, n=200)
+    net = Network(tiny_encoder(), n_classes=2, hidden=(8, 4, 2), seed=2)
+    cfg = TrainConfig(learning_rate=1e-3, batch_size=64, max_epochs=40, patience=3, seed=2)
+    report = train(net, train_b, val_b, cfg)
+    acc = report.val_accuracy
+    assert all(later < acc[0] for later in acc[1:])
+    assert report.stop_reason == "early_stop"
+    assert report.best_epoch == 1 and len(acc) == 1 + cfg.patience
+    restored = forward(net, val_b, mode="inference")
+    assert float((restored.argmax(axis=1) == val_b.labels).mean()) == acc[0]
 
 
 def test_train_reports_one_positive_wall_time_per_epoch():

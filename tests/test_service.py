@@ -4,6 +4,7 @@ import hashlib
 import http.client
 import io
 import json
+import re
 import socket
 import struct
 import threading
@@ -1122,6 +1123,17 @@ def test_parse_bind(monkeypatch):
     assert parse_bind(None) == ("127.0.0.1", 7777)
     with pytest.raises(ValidationError):
         parse_bind("nope")
+
+
+@pytest.mark.parametrize("port", ["99999", "70000", "\u0663\u0663", ""])
+def test_parse_bind_refuses_a_port_outside_0_to_65535(monkeypatch, port):
+    # '\u0663\u0663' is 33 in Arabic-Indic digits: str.isdigit passes it and int() reads it
+    bind = f"127.0.0.1:{port}"
+    with pytest.raises(ValidationError, match=re.escape(repr(bind))):
+        parse_bind(bind)
+    monkeypatch.setenv("RESPRED_BIND", bind)
+    with pytest.raises(ValidationError, match="port of 0-65535"):
+        parse_bind(None)
 
 
 # --- the header reader

@@ -1,7 +1,6 @@
 """Synthetic population generator and brokerage simulation."""
 
 import dataclasses
-import math
 import warnings
 
 import numpy as np
@@ -125,13 +124,6 @@ def test_generate_scout_derivations_near_truth():
         ram_err.append(abs(np.log(agg.targets.ram_count / res.targets["RAMCOUNT"][i])))
     # 75th percentile of jittered per-scout values stays within ~2 jitter sigmas
     assert np.median(ram_err) < 3 * spec.job_jitter
-
-
-def test_generate_profile_probabilities_validated():
-    from respred.simsynth import CategoryProfile
-    bad = (CategoryProfile("a", "b", 0.5, 1, 1, 1, 1, 1, 1, math.log(2)),)
-    with pytest.raises(ValueError):
-        GeneratorSpec(profiles=bad)
 
 
 # --- simulation
