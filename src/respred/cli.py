@@ -1,8 +1,8 @@
 """Command-line entry point: synth, derive, train, evaluate, predict, simulate, serve.
 
 Exit codes: 0 success, 2 flag/input validation error, 1 runtime failure.
-``train``'s model flags and every command's output file paths are checked
-before any input is read.
+``train``'s model flags and every command's output file paths are checked,
+and ``evaluate``'s curve directory made, before any input is read.
 """
 
 from __future__ import annotations
@@ -193,6 +193,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     _check_output(args.report_out)
+    if args.curves_dir:
+        Path(args.curves_dir).mkdir(parents=True, exist_ok=True)
     artifact = service.load_artifact(args.artifact)
     bins = {t: artifact.models[t].bins for t in TARGET_NAMES}
     labeled, _ = _load_labeled(args.data, args.targets, bins)
@@ -206,7 +208,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     if args.curves_dir:
         curves = Path(args.curves_dir)
-        curves.mkdir(parents=True, exist_ok=True)
         for target, ev in report.per_target.items():
             np.savetxt(curves / f"roc_{target}.csv", ev.roc_points,
                        delimiter=",", header="fpr,tpr", comments="")
@@ -253,7 +254,13 @@ def _broker_inputs(args: argparse.Namespace, artifact) -> simsynth.BrokerInputs:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     _check_output(args.report_out)
-    artifact = service.load_artifact(_artifact_path(args.model_dir))
+    if args.report_out:
+        summary_path = Path(args.report_out).with_suffix(".txt")
+        if summary_path == Path(args.report_out):
+            raise service.ValidationError(
+                f"--report-out {args.report_out}: the .txt summary beside it would overwrite it")
+        _check_output(str(summary_path))
+    artifact = service.load_artifact(args.model_dir)
     inputs = _broker_inputs(args, artifact)
     cfg = simsynth.SimConfig(seed=args.seed, ml_latency=args.ml_latency)
 
@@ -281,17 +288,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         )
     print(summary, end="")
     if args.report_out:
-        out = Path(args.report_out)
-        out.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        out.with_suffix(".txt").write_text(summary)
+        Path(args.report_out).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        summary_path.write_text(summary)
     return 0
-
-
-def _artifact_path(model_dir: str) -> Path:
-    path = Path(model_dir)
-    if path.is_dir():
-        return path / "artifact.rpa"
-    return path
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -360,10 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="targets CSV (ground truth)")
     p.add_argument("--jobs", help="job-profile CSV (required for scout mode)")
     p.add_argument("--model-dir", required=True,
-                   help="artifact file or directory containing artifact.rpa")
+                   help="artifact file (as --artifact elsewhere)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--ml-latency", type=_finite(0), default=0.5)
-    p.add_argument("--report-out", help="JSON report path (a .txt summary is written beside it)")
+    p.add_argument("--report-out", help="JSON report path, not ending in .txt (a .txt summary is written beside it)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("serve", help="run the prediction HTTP service")

@@ -13,7 +13,7 @@ the mean of per-model accuracies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,10 +41,6 @@ class ConfusionMatrix:
     def n_classes(self) -> int:
         return self.counts.shape[0]
 
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
 
 @dataclass
 class ClasswiseReport:
@@ -52,66 +48,28 @@ class ClasswiseReport:
     recall: np.ndarray
     f1: np.ndarray
     support: np.ndarray
-    macro_precision: float
-    macro_recall: float
     macro_f1: float
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
-    accuracy: float
-    zero_division_flags: list[str] = field(default_factory=list)
 
 
 def per_class_prf(cm: ConfusionMatrix) -> ClasswiseReport:
-    """Per-class precision/recall/F1 with macro and micro aggregates.
+    """Per-class precision/recall/F1 and their macro-averaged F1.
 
-    Zero denominators yield 0 and are flagged rather than raising, since
-    rare classes can receive no predictions at small sample sizes.
+    A zero denominator yields 0 rather than raising, since rare classes can
+    receive no predictions at small sample sizes.
     """
     counts = cm.counts
     if counts.size == 0 or cm.n_classes < 2:
         raise ValueError("confusion matrix must cover at least 2 classes")
 
     tp = np.diag(counts).astype(float)
-    fp = counts.sum(axis=0) - tp
-    fn = counts.sum(axis=1) - tp
-    flags: list[str] = []
-
-    precision = np.zeros(cm.n_classes)
-    recall = np.zeros(cm.n_classes)
-    f1 = np.zeros(cm.n_classes)
-    for c in range(cm.n_classes):
-        if tp[c] + fp[c] > 0:
-            precision[c] = tp[c] / (tp[c] + fp[c])
-        else:
-            flags.append(f"precision[{c}]")
-        if tp[c] + fn[c] > 0:
-            recall[c] = tp[c] / (tp[c] + fn[c])
-        else:
-            flags.append(f"recall[{c}]")
-        if precision[c] + recall[c] > 0:
-            f1[c] = 2 * precision[c] * recall[c] / (precision[c] + recall[c])
-        else:
-            flags.append(f"f1[{c}]")
-
-    total = counts.sum()
-    micro_tp = tp.sum()
-    micro = micro_tp / total if total > 0 else 0.0
-
-    return ClasswiseReport(
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        support=counts.sum(axis=1),
-        macro_precision=float(precision.mean()),
-        macro_recall=float(recall.mean()),
-        macro_f1=float(f1.mean()),
-        micro_precision=float(micro),
-        micro_recall=float(micro),
-        micro_f1=float(micro),
-        accuracy=float(micro),
-        zero_division_flags=flags,
-    )
+    predicted = counts.sum(axis=0)
+    actual = counts.sum(axis=1)
+    precision = np.divide(tp, predicted, out=np.zeros(cm.n_classes), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros(cm.n_classes), where=actual > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros(cm.n_classes), where=both > 0)
+    return ClasswiseReport(precision=precision, recall=recall, f1=f1, support=actual,
+                           macro_f1=float(f1.mean()))
 
 
 def _flatten_ovr(probs: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

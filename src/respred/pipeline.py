@@ -266,7 +266,6 @@ def _train_worker() -> None:
 
 @dataclass
 class TargetEvaluation:
-    target: str
     n_classes: int
     accuracy: float
     classwise: ClasswiseReport
@@ -326,7 +325,6 @@ def evaluate_predictions(probs: Mapping[str, np.ndarray], labeled: Dataset) -> E
         cm = ConfusionMatrix.from_labels(y_true, y_pred, k)
         roc_auc, pr_auc, roc_points, pr_points = micro_curves(p, y_true)
         per_target[name] = TargetEvaluation(
-            target=name,
             n_classes=k,
             accuracy=float((y_pred == y_true).mean()),
             classwise=per_class_prf(cm),

@@ -229,8 +229,10 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         fingerprint = header.get("config_fingerprint", "")
     except KeyError as exc:
         raise CorruptArtifactError(f"{path}: header lacks key {exc.args[0]!r}") from None
-    except (TypeError, AttributeError) as exc:
-        # a header value of the wrong type, or a spec with missing or unknown fields
+    except CorruptArtifactError:
+        raise
+    except (TypeError, AttributeError, ValueError) as exc:
+        # a header value of the wrong type or out of range, or a spec with missing or unknown fields
         raise CorruptArtifactError(f"{path}: malformed header ({exc})") from None
 
     missing = set(TARGET_NAMES) - set(models)
@@ -264,7 +266,14 @@ def _models_from_header(header: dict, body: bytes, path: str | Path) -> dict[str
     models: dict[str, TargetModel] = {}
     for target, entry in header["targets"].items():
         bins = _bins_from_dict(entry["bins"])
-        net = Network(encoder, n_classes=int(entry["n_classes"]), hidden=tuple(entry["hidden"]))
+        n_classes, hidden = entry["n_classes"], tuple(entry["hidden"])
+        widths = (encoder.input_width, *hidden, n_classes)
+        matrices = [(c.vocab_size, c.embed_dim) for c in encoder.categorical] + list(zip(widths, widths[1:]))
+        # checked before Network allocates these matrices: a header cannot ask for more than the body holds
+        if not (all(type(w) is int and w > 0 for w in widths) and all(a * b <= n_floats for a, b in matrices)):
+            raise CorruptArtifactError(f"{path}: {target} declares layer widths {list(widths)} that are not "
+                                       f"positive integers, or a weight matrix over the body's {n_floats} floats")
+        net = Network(encoder, n_classes=n_classes, hidden=hidden)
         for section, store in (("params", net.params), ("running", net.running)):
             loaded = set()
             for item in entry[section]:

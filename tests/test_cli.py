@@ -212,6 +212,17 @@ def test_a_directory_given_for_a_file_exits_2_in_one_line(workdir, tmp_path, cap
     assert str(tmp_path) in err
 
 
+def _forbid_work(monkeypatch):
+    from respred import ingest, pipeline, service
+
+    def work(*args, **kwargs):
+        raise AssertionError("work began before the output paths were checked")
+
+    for module, name in ((pipeline, "train_all"), (ingest, "parse_task_csv"), (ingest, "parse_job_csv"),
+                         (service, "load_artifact")):
+        monkeypatch.setattr(module, name, work)
+
+
 @pytest.mark.parametrize("command, flag", [
     ("train", "--out"),
     ("derive", "--out"),
@@ -222,14 +233,7 @@ def test_a_directory_given_for_a_file_exits_2_in_one_line(workdir, tmp_path, cap
 @pytest.mark.parametrize("where", ["missing directory", "directory"])
 def test_an_unwritable_output_path_exits_2_before_any_work(workdir, tmp_path, capsys, monkeypatch,
                                                            command, flag, where):
-    from respred import ingest, pipeline, service
-
-    def work(*args, **kwargs):
-        raise AssertionError("work began before the output path was checked")
-
-    for module, name in ((pipeline, "train_all"), (ingest, "parse_task_csv"), (ingest, "parse_job_csv"),
-                         (service, "load_artifact")):
-        monkeypatch.setattr(module, name, work)
+    _forbid_work(monkeypatch)
     args = command_args(workdir, tmp_path, command)
     args[flag] = str(tmp_path / "absent" / "out.file") if where == "missing directory" else str(tmp_path)
     code = main([command, *(item for pair in args.items() for item in pair)])
@@ -312,6 +316,34 @@ def test_predict_without_inputs_exits_2(workdir):
     with pytest.raises(SystemExit) as err:
         main(["predict", "--artifact", str(workdir / "artifact.rpa")])
     assert err.value.code == 2
+
+
+def test_evaluate_curves_dir_that_is_a_file_exits_2_before_any_work(workdir, tmp_path, capsys, monkeypatch):
+    _forbid_work(monkeypatch)
+    args = command_args(workdir, tmp_path, "evaluate")
+    args["--curves-dir"] = str(tmp_path / "curves")
+    (tmp_path / "curves").write_text("")
+    code = main(["evaluate", *(item for pair in args.items() for item in pair)])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and str(tmp_path / "curves") in err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("report", ["sim.txt", "sim.json"])
+def test_simulate_report_whose_summary_cannot_be_written_exits_2_before_any_work(workdir, tmp_path, capsys,
+                                                                                 monkeypatch, report):
+    # a report ending in .txt would be overwritten by its own summary; beside sim.json, sim.txt is a directory
+    _forbid_work(monkeypatch)
+    if report == "sim.json":
+        (tmp_path / "sim.txt").mkdir()
+    args = command_args(workdir, tmp_path, "simulate")
+    args["--report-out"] = str(tmp_path / report)
+    code = main(["simulate", *(item for pair in args.items() for item in pair)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and str(tmp_path / "sim.txt") in err
+    assert not (tmp_path / "sim.json").exists()
 
 
 def test_simulate_both_modes(workdir):

@@ -262,6 +262,48 @@ def test_load_refuses_a_header_whose_heads_differ_in_layer_widths(models, tmp_pa
         load_artifact(path)
 
 
+@pytest.mark.parametrize("matrix", ["layer", "embedding"])
+def test_load_builds_no_network_for_a_matrix_the_body_cannot_fill(models, tmp_path, monkeypatch, matrix):
+    # a declared width is an allocation: unchecked, a header of a few bytes could ask Network for gigabytes
+    models, _ = models
+    path = tmp_path / "wide.rpa"
+    save_artifact(models, path)
+    raw = path.read_bytes()
+    n_floats = (len(raw) - 16 - struct.unpack("<Q", raw[8:16])[0]) // 8
+
+    def widen(header):
+        for entry in header["targets"].values():
+            entry["hidden"] = [5000, 8, 4] if matrix == "layer" else [1, 8, 4]
+        if matrix == "embedding":
+            # the input layer (width about n_floats / 2, times 1) fits; the table of 3 or more tokens does not
+            header["encoder"]["categorical"][0]["embed_dim"] = n_floats // 2
+
+    rewrite_header(path, widen)
+    built = []
+    monkeypatch.setattr(service, "Network", lambda *args, **kwargs: built.append(args) or Network(*args, **kwargs))
+    with pytest.raises(CorruptArtifactError) as err:
+        load_artifact(path)
+    assert built == []
+    assert str(err.value).startswith(f"{path}: ") and f"body's {n_floats} floats" in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda entry: entry.update(n_classes="x"), id="n_classes-a-string"),
+    pytest.param(lambda entry: entry.update(n_classes=1), id="n_classes-1"),
+    pytest.param(lambda entry: entry.update(hidden=[-1, 8, 4]), id="hidden-negative"),
+    pytest.param(lambda entry: entry.update(hidden=[0, 8, 4]), id="hidden-zero"),
+    pytest.param(lambda entry: entry["bins"].update(edges=entry["bins"]["edges"][::-1]), id="edges-falling"),
+])
+def test_header_value_out_of_range_is_corrupt_naming_the_file_once(models, tmp_path, edit):
+    models, _ = models
+    path = tmp_path / "range.rpa"
+    save_artifact(models, path)
+    rewrite_header(path, lambda header: edit(header["targets"]["CPUTIME"]))
+    with pytest.raises(CorruptArtifactError) as err:
+        load_artifact(path)
+    assert str(err.value).startswith(f"{path}: ") and str(err.value).count(str(path)) == 1
+
+
 def _targets_as_a_list(text):
     header = json.loads(text)
     header["targets"] = list(header["targets"].values())
